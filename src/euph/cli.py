@@ -74,22 +74,23 @@ def _write_json(path, payload):
 
 
 def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"range must look like start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = text.split(":")  # a wrong part count is a ValueError too
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValidationError(f"range must look like start:stop:count, got {text!r}") from None
     if count < 1:
         raise ValidationError("range count must be at least 1")
     return np.linspace(start, stop, count)
 
 
-def _parse_floats(text):
-    items = [t for t in text.split(",") if t.strip()]
-    return [float(t) for t in items]
-
-
-def _parse_ints(text):
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_list(text, kind):
+    try:
+        return [kind(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"expected comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
 def _model(args, tau=None):
@@ -249,7 +250,7 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure2(args) -> int:
     lams = _parse_range(args.lambda_range)
-    levels = _parse_ints(args.levels)
+    levels = _parse_list(args.levels, int)
     units = _UNITS[args.units]
     eu, iu = _SUFFIX[args.units]["energy"], _SUFFIX[args.units]["invlen2"]
     header = [f"lambda_{iu}"]
@@ -332,7 +333,7 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lambdas = _parse_floats(args.lambdas)
+    lambdas = _parse_list(args.lambdas, float)
     report = oracle.crosscheck_report(lambdas, args.n_max, units=_UNITS[args.units])
     eu, iu = _SUFFIX[args.units]["energy"], _SUFFIX[args.units]["invlen2"]
     header = [
@@ -376,7 +377,8 @@ def cmd_verify(args) -> int:
         f"verify: {s['cells']} cells, max rel dev ds={_fmt(s['max_rel_dev_ds'])} "
         f"ads={_fmt(s['max_rel_dev_ads'])}, nodes match: {s['all_nodes_match']} -> {out}"
     )
-    return 3 if s["errors"] else 0
+    nothing_verified = report.rows and not any(row["status"] == "ok" for row in report.rows)
+    return 3 if s["errors"] or nothing_verified else 0
 
 
 def cmd_bound(args) -> int:
@@ -481,7 +483,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DomainError, NonNormalizableError) as exc:
+    except (ValidationError, DomainError, NonNormalizableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, NoSignChangeError, MaxIterationsError) as exc:

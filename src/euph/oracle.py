@@ -19,20 +19,21 @@ The commutator check applies the one-dimensional position representation
 X = x/chi, P = -i hbar chi d/dx with high-order stencils to smooth test
 functions; the identity [X, P] = i hbar (1 - tau lam X^2) is exact, so the
 returned residual measures pure discretization error.
+
+crosscheck_report sweeps both models over a list of deformations in one
+serial loop, one finite-difference solve per (model, lambda, l) block.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import spectra, wavefunctions
-from .errors import ConvergenceError, EuphError, ValidationError
+from .errors import ConvergenceError, EuphError, NonNormalizableError, ValidationError
 from .model import DeformationModel, QuantumNumbers, UnitSystem, HARTREE
 
 __all__ = [
@@ -52,13 +53,10 @@ class GridSpec:
     n_points: int = 4000
     r_min: float = None
     r_max: float = None
-    scheme: str = "uniform"
 
     def __post_init__(self):
         if self.n_points < 200:
             raise ValidationError("need at least 200 grid points")
-        if self.scheme not in ("uniform", "log-uniform"):
-            raise ValidationError(f"unknown grid scheme {self.scheme!r}")
         if self.r_min is not None and self.r_max is not None:
             if not 0.0 < self.r_min < self.r_max:
                 raise ValidationError("grid needs 0 < r_min < r_max")
@@ -89,7 +87,6 @@ class OracleSpectrum:
 
 def _generalized_tridiag_eigh(diag_a, off_a, diag_b, count):
     """Lowest eigenpairs of A u = kappa B u, A tridiagonal, B diagonal > 0."""
-    assert np.all(diag_b > 0.0), "B must be positive definite"
     scale = 1.0 / np.sqrt(diag_b)
     dd = diag_a * scale * scale
     ee = off_a * scale[:-1] * scale[1:]
@@ -138,51 +135,6 @@ def _solve_radial_grid(model, l, count, n_points, r_min, r_max):
     u = model.units
     energies = (u.hbar**2 / (2.0 * u.m)) * (kappas + model.tau * model.lam / 2.0)
     return energies, vecs, r, kappas
-
-
-def _solve_radial_loggrid(model, l, count, n_points, r_min, r_max):
-    """Log-uniform variant: x = ln r with u = e^(x/2) w.
-
-    The u-equation chi^2 u'' + (Veff + kappa) u = 0 becomes
-        (chi^2/r^2) w'' + (Veff + kappa - chi^2/(4 r^2)) w = 0,
-    a generalized symmetric pencil with B = diag(r^2/chi^2).  B spans many
-    decades on a log grid, so the pencil is solved by shift-invert Lanczos
-    (shift safely below the bound spectrum) instead of an explicit
-    B^(-1/2) reduction, which would destroy the eigenvalue resolution.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import eigsh
-
-    if not r_min or r_min <= 0.0:
-        r_min = 1e-6 * r_max
-    x0, x1 = math.log(r_min), math.log(r_max)
-    h = (x1 - x0) / (n_points + 1)
-    x = x0 + h * np.arange(1, n_points + 1)
-    r = np.exp(x)
-    chi2 = model.chi2(r)
-    veff = _ds_effective_potential(model, l, r) - chi2 / (4.0 * r * r)
-    # A = -D2 - diag(veff * r^2/chi^2), B = diag(r^2/chi^2)
-    diag_a = 2.0 / h**2 - veff * r * r / chi2
-    off_a = np.full(len(r) - 1, -1.0 / h**2)
-    diag_b = r * r / chi2
-    assert np.all(diag_b > 0.0), "B must be positive definite"
-
-    un = model.units
-    kappa_atomic = (un.m * un.e2 / un.hbar**2) ** 2
-    n_top = count + l + 2
-    sigma = -2.0 * kappa_atomic - model.lam * (n_top * n_top + 2.0)
-    a_mat = sparse.diags([off_a, diag_a, off_a], [-1, 0, 1], format="csc")
-    b_mat = sparse.diags(diag_b, 0, format="csc")
-    try:
-        kappas, vecs = eigsh(a_mat, k=count, M=b_mat, sigma=sigma, which="LM")
-    except Exception as exc:  # ARPACK failures surface as convergence errors
-        raise ConvergenceError(f"log-grid shift-invert solve failed: {exc}") from exc
-    order = np.argsort(kappas)
-    kappas = kappas[order]
-    w = vecs[:, order].T * np.sqrt(r)[None, :]  # back to u samples
-    w = w / np.max(np.abs(w), axis=1)[:, None]
-    energies = (un.hbar**2 / (2.0 * un.m)) * (kappas + model.tau * model.lam / 2.0)
-    return energies, w, r, kappas
 
 
 def _solve_ads_natural(model, l, count, n_points):
@@ -242,6 +194,12 @@ def fd_spectrum(
         and ads_bc == "natural"
         and model.wall_radius() <= 2.0 * free_extent
     )
+    if model.tau == -1 and not use_tspace and grid.r_max is not None:
+        # B = diag(1/chi^2) is positive only strictly inside the wall
+        if grid.r_max >= model.wall_radius():
+            raise ValidationError(
+                f"an AdS radial grid needs r_max < wall radius {model.wall_radius():.6g}"
+            )
     if model.tau == -1 and not use_tspace and ads_bc == "natural":
         r_max = grid.r_max or min(free_extent, model.wall_radius())
     else:
@@ -251,8 +209,6 @@ def fd_spectrum(
     def solve(n_points):
         if use_tspace:
             return _solve_ads_natural(model, l, count, n_points)
-        if grid.scheme == "log-uniform":
-            return _solve_radial_loggrid(model, l, count, n_points, r_min, r_max)
         return _solve_radial_grid(model, l, count, n_points, r_min, r_max)
 
     energies, vecs, coords, kappas = solve(grid.n_points)
@@ -357,8 +313,7 @@ class CrosscheckReport:
     summary: dict
 
 
-def _crosscheck_cell_block(args):
-    model, l, n_max, n_points = args
+def _crosscheck_cell_block(model, l, n_max, n_points):
     rows = []
     count = n_max - l
     try:
@@ -383,9 +338,11 @@ def _crosscheck_cell_block(args):
         try:
             state = wavefunctions.build_state(model, qn)
             nodes_closed = wavefunctions.count_nodes(state)
-        except EuphError:
+        except NonNormalizableError:
             if status == "ok":
                 status = "closed form not normalizable"
+        except EuphError as exc:
+            status = f"error: {exc}"
         rows.append(_row(model, l, n, e_closed, e_fd, nodes_closed, nodes_fd[k], status))
     return rows
 
@@ -420,32 +377,21 @@ def crosscheck_report(
 ) -> CrosscheckReport:
     """Deviation table |E_closed - E_oracle|/|E_closed| for both models.
 
-    Cells are independent; failures are recorded per cell and never abort
-    the sweep.  The worker pool is capped by the EUPH_THREADS environment
-    variable (default 4).
+    Cells run serially in a fixed order: dS before AdS, lambdas as given,
+    then l and n ascending.  Failures are recorded per cell and never abort
+    the sweep; a closed form that is not square integrable is labelled as
+    such, and any other package error becomes an "error: ..." status.
     """
     if n_max < 1 or n_max > 4:
         raise ValidationError("n_max must lie in [1, 4]")
     lambdas = list(lambdas)
-    tasks = []
+    rows = []
     for tau in (1, -1):
         for lam in lambdas:
             model = DeformationModel(tau=tau, lam=lam, units=units)
             for l in range(n_max):
-                tasks.append((model, l, n_max, n_points))
-
-    workers = os.environ.get("EUPH_THREADS", "4")
-    try:
-        workers = max(1, int(workers))
-    except ValueError:
-        raise ValidationError(f"EUPH_THREADS must be a positive integer, got {workers!r}")
-
-    if tasks:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            blocks = list(pool.map(_crosscheck_cell_block, tasks))
-    else:
-        blocks = []
-    rows = tuple(row for block in blocks for row in block)
+                rows += _crosscheck_cell_block(model, l, n_max, n_points)
+    rows = tuple(rows)
 
     def max_dev(model_name):
         devs = [

@@ -11,7 +11,7 @@ space with the normalization constant folded into the exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -65,42 +65,35 @@ class RadialEigenstate:
             return self.sign * math.inf
 
 
-def _log_envelope(state: RadialEigenstate, s):
-    """log of the positive envelope factor at s (without polynomial, norm)."""
+def _log_radial_in_s(state: RadialEigenstate, s, s_minus_1=None, log_prefactor=0.0):
+    """(log|R| + log_prefactor, sign) of the unnormalized R factor at s.
+
+    dS callers pass the cancellation-free s - 1; AdS accepts any real s.
+    """
     s = np.asarray(s, dtype=float)
     p = state.params
     if state.model.tau == 1:
         a_exp = 0.25 * (1.0 - 2.0 * p.delta + p.eta / p.delta)
         b_exp = 0.25 * (1.0 - 2.0 * p.delta - p.eta / p.delta)
-        return a_exp * np.log(s - 1.0) + b_exp * np.log(s + 1.0)
-    p_exp = 0.5 * (0.5 - p.delta)
-    return p_exp * np.log1p(s * s) + (p.eta / (2.0 * p.delta)) * np.arctan(s)
+        env = a_exp * np.log(s_minus_1) + b_exp * np.log(s + 1.0)
+    else:
+        p_exp = 0.5 * (0.5 - p.delta)
+        env = p_exp * np.log1p(s * s) + (p.eta / (2.0 * p.delta)) * np.arctan(s)
+    y = npoly.polyval(s, np.asarray(state.poly_coeffs))
+    with np.errstate(divide="ignore"):
+        logy = np.where(y == 0.0, -np.inf, np.log(np.abs(np.where(y == 0.0, 1.0, y))))
+    return env + log_prefactor + logy, np.sign(y)
 
 
-def _log_envelope_stable(state: RadialEigenstate, r):
-    """Same as _log_envelope but with cancellation-free s-1 for dS tails."""
+def _raw_log_and_sign(state: RadialEigenstate, r):
+    """(log|value|, sign) of the unnormalized radial factor r^(-1/2) R."""
     model = state.model
     r = np.asarray(r, dtype=float)
     chi = np.sqrt(model.chi2(r))
     sl = math.sqrt(model.lam)
     s = chi / (sl * r)
-    if model.tau == 1:
-        p = state.params
-        a_exp = 0.25 * (1.0 - 2.0 * p.delta + p.eta / p.delta)
-        b_exp = 0.25 * (1.0 - 2.0 * p.delta - p.eta / p.delta)
-        s_minus_1 = 1.0 / (sl * r * (chi + sl * r))  # equals s - 1 exactly
-        return a_exp * np.log(s_minus_1) + b_exp * np.log(s + 1.0), s
-    return _log_envelope(state, s), s
-
-
-def _raw_log_and_sign(state: RadialEigenstate, r):
-    """(log|value|, sign, s) of the unnormalized radial factor r^(-1/2) R."""
-    r = np.asarray(r, dtype=float)
-    env, s = _log_envelope_stable(state, r)
-    y = npoly.polyval(s, np.asarray(state.poly_coeffs))
-    with np.errstate(divide="ignore"):
-        logy = np.where(y == 0.0, -np.inf, np.log(np.abs(np.where(y == 0.0, 1.0, y))))
-    return env - 0.5 * np.log(r) + logy, np.sign(y), s
+    s_minus_1 = 1.0 / (sl * r * (chi + sl * r)) if model.tau == 1 else None
+    return _log_radial_in_s(state, s, s_minus_1, -0.5 * np.log(r))
 
 
 def tail_exponent(model: DeformationModel, qn: QuantumNumbers) -> float:
@@ -157,17 +150,7 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
         sign=1.0,
     )
     log_norm, sign = _normalize(probe)
-    return RadialEigenstate(
-        model=model,
-        qn=qn,
-        level=level,
-        params=params,
-        family=family,
-        poly_coeffs=coeffs,
-        domain=domain,
-        log_norm=log_norm,
-        sign=sign,
-    )
+    return replace(probe, log_norm=log_norm, sign=sign)
 
 
 def _radial_scale(state: RadialEigenstate) -> float:
@@ -186,11 +169,11 @@ def _normalize(probe: RadialEigenstate):
     else:
         hi = 50.0 * scale
         r_probe = np.geomspace(scale * 1e-6, hi, 3001)
-    log_raw, _, _ = _raw_log_and_sign(probe, r_probe)
+    log_raw, _ = _raw_log_and_sign(probe, r_probe)
     shift = float(np.max(log_raw + np.log(np.maximum(r_probe, 1e-300))))
 
     def integrand(r):
-        lg, sg, _ = _raw_log_and_sign(probe, np.asarray([r]))
+        lg, sg = _raw_log_and_sign(probe, np.asarray([r]))
         val = sg[0] * math.exp(min(lg[0] - shift, 700.0))
         return val * val * r * r
 
@@ -221,7 +204,7 @@ def _normalize(probe: RadialEigenstate):
         r_conv = 8.0 * scale
     else:
         r_conv = probe.domain[1] * (1.0 - 1e-6)
-    _, sg, _ = _raw_log_and_sign(probe, np.asarray([r_conv]))
+    _, sg = _raw_log_and_sign(probe, np.asarray([r_conv]))
     sign = float(sg[0]) if sg[0] != 0.0 else 1.0
     return log_norm, sign
 
@@ -239,7 +222,7 @@ def radial_eval(state: RadialEigenstate, r):
         raise DomainError("radius must be positive")
     if state.model.tau == -1 and np.any(arr >= state.domain[1]):
         raise DomainError(f"radius must stay inside the wall r < {state.domain[1]}")
-    lg, sg, _ = _raw_log_and_sign(state, arr)
+    lg, sg = _raw_log_and_sign(state, arr)
     vals = state.sign * sg * np.exp(lg - state.log_norm)
     return float(vals[0]) if scalar else vals
 
@@ -308,15 +291,6 @@ def sph_harm(l: int, m: int, theta, phi):
 def psi_eval(state: RadialEigenstate, r, theta, phi):
     """Full wavefunction value radial_eval(r) * Y_l^m(theta, phi)."""
     return radial_eval(state, r) * sph_harm(state.qn.l, state.qn.m_l, theta, phi)
-
-
-def _log_radial_in_s(state: RadialEigenstate, s):
-    """(log|R|, sign) of the R factor (without r^(-1/2)) at any real s (AdS)."""
-    env = _log_envelope(state, s)
-    y = npoly.polyval(np.asarray(s, dtype=float), np.asarray(state.poly_coeffs))
-    with np.errstate(divide="ignore"):
-        logy = np.where(y == 0.0, -np.inf, np.log(np.abs(np.where(y == 0.0, 1.0, y))))
-    return env + logy, np.sign(y)
 
 
 def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure="flat"):

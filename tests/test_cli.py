@@ -7,6 +7,20 @@ import pytest
 from euph.cli import main
 
 
+def one_cell_report(status, errors):
+    from euph.oracle import CrosscheckReport
+
+    row = {
+        "model": "ds", "lambda": 0.01, "n": 1, "l": 0,
+        "e_closed": None, "e_oracle": None, "rel_dev": None,
+        "nodes_closed": None, "nodes_oracle": None, "node_match": None,
+        "status": status,
+    }
+    summary = {"cells": 1, "max_rel_dev_ds": None,
+               "max_rel_dev_ads": None, "all_nodes_match": True, "errors": errors}
+    return CrosscheckReport(rows=(row,), summary=summary)
+
+
 def run(argv):
     try:
         return main(argv)
@@ -43,6 +57,22 @@ class TestSpectrum:
         payload = json.loads(out.read_text())
         assert payload["command"] == "spectrum"
         assert payload["rows"][0][2] == -0.5
+
+
+class TestExitContract:
+    def test_malformed_range_exits_2(self, tmp_path, capsys):
+        assert run(["figure1", "--lambda", "0.04", "--dx-range", "a:b:c",
+                    "--output", str(tmp_path / "f1.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_lambda_list_exits_2(self, tmp_path, capsys):
+        assert run(["verify", "--lambdas", "x",
+                    "--output", str(tmp_path / "v.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_output_dir_exits_2(self, tmp_path, capsys):
+        assert run(["tables", "--output-dir", str(tmp_path / "missing")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestTables:
@@ -115,18 +145,9 @@ class TestWavefunction:
 class TestVerify:
     def test_cell_errors_exit_3(self, tmp_path, monkeypatch):
         import euph.cli as cli_mod
-        from euph.oracle import CrosscheckReport
 
         def broken(lambdas, n_max, units=None):
-            row = {
-                "model": "ds", "lambda": 0.01, "n": 1, "l": 0,
-                "e_closed": None, "e_oracle": None, "rel_dev": None,
-                "nodes_closed": None, "nodes_oracle": None, "node_match": None,
-                "status": "error: synthetic, with a comma",
-            }
-            summary = {"cells": 1, "max_rel_dev_ds": None,
-                       "max_rel_dev_ads": None, "all_nodes_match": True, "errors": 1}
-            return CrosscheckReport(rows=(row,), summary=summary)
+            return one_cell_report("error: synthetic, with a comma", errors=1)
 
         monkeypatch.setattr(cli_mod.oracle, "crosscheck_report", broken)
         out = tmp_path / "verify.csv"
@@ -135,6 +156,27 @@ class TestVerify:
         assert code == 3
         body = out.read_text().splitlines()[1]
         assert body.count(",") == 10  # free text sanitized, column count intact
+
+    def test_nothing_verified_exits_3(self, tmp_path, monkeypatch):
+        import euph.cli as cli_mod
+
+        def unverified(lambdas, n_max, units=None):
+            return one_cell_report("above-threshold", errors=0)
+
+        monkeypatch.setattr(cli_mod.oracle, "crosscheck_report", unverified)
+        code = run(["verify", "--lambdas", "0.01", "--n-max", "1",
+                    "--output", str(tmp_path / "verify.csv")])
+        assert code == 3
+
+    def test_engine_failure_is_not_labelled_non_normalizable(self, tmp_path):
+        # at lam = 3.3e-16 the reduction engine fails for every level
+        out = tmp_path / "verify.csv"
+        code = run(["verify", "--lambdas", "3.3e-16", "--n-max", "2",
+                    "--output", str(out)])
+        statuses = [ln.split(",")[-1] for ln in out.read_text().splitlines()[1:]]
+        assert len(statuses) == 6
+        assert all(status.startswith("error:") for status in statuses)
+        assert code == 3
 
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "verify.csv"

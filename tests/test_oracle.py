@@ -24,8 +24,6 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             oracle.GridSpec(n_points=100)
         with pytest.raises(ValidationError):
-            oracle.GridSpec(scheme="chebyshev")
-        with pytest.raises(ValidationError):
             oracle.GridSpec(r_min=2.0, r_max=1.0)
 
 
@@ -79,16 +77,6 @@ class TestOracleStructure:
         assert spec.statuses[0] == "converged"
         assert spec.statuses[2] == "above-threshold"
 
-    def test_log_uniform_scheme(self):
-        grid = oracle.GridSpec(n_points=4000, r_min=1e-6, r_max=60.0, scheme="log-uniform")
-        spec = oracle.fd_spectrum(ds(0.001), 0, 2, grid, richardson=False)
-        closed = [
-            spectra.energy(ds(0.001), QuantumNumbers(n, 0)).energy for n in (1, 2)
-        ]
-        for e_fd, e_ref in zip(spec.eigenvalues, closed):
-            assert abs(e_fd - e_ref) / abs(e_ref) < 1e-4
-        assert spec.node_counts() == [0, 1]
-
     def test_count_bounds(self):
         with pytest.raises(ValidationError):
             oracle.fd_spectrum(ds(0.01), 0, 11)
@@ -110,6 +98,11 @@ class TestWallTreatment:
         box = oracle.fd_spectrum(model, 0, 3, richardson=False, ads_bc="box")
         assert abs(nat.eigenvalues[2] - e_ref) / abs(e_ref) < 1e-3
         assert abs(box.eigenvalues[2] - e_ref) / abs(e_ref) > 1e-2
+
+    def test_radial_grid_past_the_wall_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            oracle.fd_spectrum(ads(0.01), 0, 1, oracle.GridSpec(r_max=20.0),
+                               richardson=False, ads_bc="box")
 
 
 class TestCommutator:
@@ -136,26 +129,36 @@ class TestCrosscheck:
         assert report.summary["cells"] == 0
         assert report.summary["errors"] == 0
 
-    def test_sweep_accuracy(self, monkeypatch):
-        monkeypatch.setenv("EUPH_THREADS", "2")
+    def test_sweep_accuracy(self):
         report = oracle.crosscheck_report([0.001, 0.01], 3)
         assert report.summary["max_rel_dev_ads"] < 1e-3
         assert report.summary["max_rel_dev_ds"] < 1e-3
         assert report.summary["all_nodes_match"]
         assert report.summary["errors"] == 0
 
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("EUPH_THREADS", "many")
-        with pytest.raises(ValidationError):
-            oracle.crosscheck_report([0.01], 2)
+    def test_row_order_is_deterministic(self):
+        # dS before AdS, lambdas in input order, then l and n ascending
+        report = oracle.crosscheck_report([0.01, 0.001], 2)
+        expected = [
+            (model, lam, l, n)
+            for model in ("ds", "ads")
+            for lam in (0.01, 0.001)
+            for l in range(2)
+            for n in range(l + 1, 3)
+        ]
+        assert [(r["model"], r["lambda"], r["l"], r["n"]) for r in report.rows] == expected
 
-    def test_row_order_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("EUPH_THREADS", "4")
-        r1 = oracle.crosscheck_report([0.01], 2)
-        monkeypatch.setenv("EUPH_THREADS", "1")
-        r2 = oracle.crosscheck_report([0.01], 2)
-        assert [row["model"] for row in r1.rows] == [row["model"] for row in r2.rows]
-        assert [row["n"] for row in r1.rows] == [row["n"] for row in r2.rows]
+    def test_engine_failure_is_an_error_cell(self, monkeypatch):
+        from euph import wavefunctions
+        from euph.errors import NotAPerfectSquareError
+
+        def broken(*args, **kwargs):
+            raise NotAPerfectSquareError("synthetic engine failure")
+
+        monkeypatch.setattr(wavefunctions, "build_state", broken)
+        report = oracle.crosscheck_report([0.001], 1)
+        assert [row["status"] for row in report.rows] == ["error: synthetic engine failure"] * 2
+        assert report.summary["errors"] == 2
 
     def test_cell_failures_do_not_abort(self, monkeypatch):
         from euph.errors import ConvergenceError
