@@ -32,8 +32,6 @@ from .spectra import (
     spectroscopic_bound,
     transition_ratio,
 )
-from .wavefunctions import RadialEigenstate, build_state, count_nodes, psi_eval, radial_eval
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -61,3 +59,23 @@ __all__ = [
     "radial_eval",
     "__version__",
 ]
+
+# Re-exported from ``wavefunctions`` on first access (PEP 562), so importing
+# the package for the closed forms loads neither numpy nor scipy.
+_WAVEFUNCTION_NAMES = frozenset(
+    {"RadialEigenstate", "build_state", "count_nodes", "psi_eval", "radial_eval"}
+)
+
+
+def __getattr__(name):
+    if name in _WAVEFUNCTION_NAMES:
+        from . import wavefunctions
+
+        value = getattr(wavefunctions, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _WAVEFUNCTION_NAMES)

@@ -6,18 +6,21 @@ point, no timestamps.  Figure data comes with a generated matplotlib script
 so the core stays free of plotting dependencies.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-convergence failure.
+
+The closed-form commands (spectrum, tables, figure1, figure2, bound) run on
+the standard library alone; only wavefunction and verify import the numpy
+and scipy modules, inside their command functions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
-import numpy as np
-
-from . import oracle, spectra, wavefunctions
+from . import spectra
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -55,7 +58,7 @@ def _fmt(x) -> str:
         return str(x).lower()
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # numpy registers its integer types here
         return str(int(x))
     return f"{float(x):.6g}"
 
@@ -81,16 +84,27 @@ def _parse_range(text):
         raise ValidationError(f"range must look like start:stop:count, got {text!r}") from None
     if count < 1:
         raise ValidationError("range count must be at least 1")
-    return np.linspace(start, stop, count)
+    # the same IEEE operations as numpy.linspace, value for value
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0:  # subnormal step: scale the fraction instead
+        head = [i / div * delta + start for i in range(div)]
+    else:
+        head = [i * step + start for i in range(div)]
+    return head + [stop]
 
 
 def _parse_list(text, kind):
     try:
-        return [kind(t) for t in text.split(",") if t.strip()]
+        values = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ValidationError(
-            f"expected comma-separated {kind.__name__} values, got {text!r}"
-        ) from None
+        values = []
+    if not values:
+        raise ValidationError(f"expected comma-separated {kind.__name__} values, got {text!r}")
+    return values
 
 
 def _model(args, tau=None):
@@ -218,14 +232,8 @@ def cmd_figure1(args) -> int:
     ads = DeformationModel(tau=-1, lam=args.lam, units=units)
     rows = []
     for dx in dxs:
-        rows.append(
-            (
-                dx,
-                0.5 * units.hbar / dx,
-                uncertainty_floor(ds, dx),
-                uncertainty_floor(ads, dx),
-            )
-        )
+        floor_ds = uncertainty_floor(ds, dx)  # rejects dx <= 0 before the division
+        rows.append((dx, 0.5 * units.hbar / dx, floor_ds, uncertainty_floor(ads, dx)))
     lu, pu = _SUFFIX[args.units]["length"], _SUFFIX[args.units]["momentum"]
     header = [f"dx_{lu}", f"floor_heisenberg_{pu}", f"floor_ds_{pu}", f"floor_ads_{pu}"]
     out = args.output or f"figure1.{args.format}"
@@ -291,6 +299,10 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    import numpy as np
+
+    from . import wavefunctions
+
     model = _model(args)
     qn = QuantumNumbers(n=args.n, l=args.l)
     state = wavefunctions.build_state(model, qn)
@@ -333,6 +345,8 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     lambdas = _parse_list(args.lambdas, float)
     report = oracle.crosscheck_report(lambdas, args.n_max, units=_UNITS[args.units])
     eu, iu = _SUFFIX[args.units]["energy"], _SUFFIX[args.units]["invlen2"]
@@ -424,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="euph",
         description="deformed-hydrogen spectra, wavefunctions and verification",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -435,43 +450,43 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", choices=("ds", "ads"), required=True)
             p.add_argument("--lambda", dest="lam", type=float, required=True)
 
-    p = sub.add_parser("spectrum", help="all E(n, l) up to n-max")
+    p = sub.add_parser("spectrum", allow_abbrev=False, help="all E(n, l) up to n-max")
     common(p)
     p.add_argument("--n-max", type=int, default=5)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("tables", help="critical and inversion deformation tables")
+    p = sub.add_parser("tables", allow_abbrev=False, help="critical and inversion deformation tables")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("figure1", help="uncertainty-floor curves")
+    p = sub.add_parser("figure1", allow_abbrev=False, help="uncertainty-floor curves")
     common(p, model_flag=False)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--dx-range", default="0.5:20:200", help="start:stop:count")
     p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("figure2", help="s-state energies against the deformation")
+    p = sub.add_parser("figure2", allow_abbrev=False, help="s-state energies against the deformation")
     common(p, model_flag=False)
     p.add_argument("--lambda-range", default="0:0.1:200", help="start:stop:count")
     p.add_argument("--levels", default="1,2,3", help="comma-separated n values")
     p.set_defaults(func=cmd_figure2)
 
-    p = sub.add_parser("wavefunction", help="radial samples, nodes and norm")
+    p = sub.add_parser("wavefunction", allow_abbrev=False, help="radial samples, nodes and norm")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_wavefunction)
 
-    p = sub.add_parser("verify", help="closed forms against the FD oracle")
+    p = sub.add_parser("verify", allow_abbrev=False, help="closed forms against the FD oracle")
     common(p, model_flag=False)
     p.add_argument("--lambdas", required=True, help="comma-separated deformations")
     p.add_argument("--n-max", type=int, default=3)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bound", help="spectroscopic bound on the minimal momentum")
+    p = sub.add_parser("bound", allow_abbrev=False, help="spectroscopic bound on the minimal momentum")
     common(p, model_flag=False)
     p.add_argument("--precision", type=float, required=True)
     p.set_defaults(func=cmd_bound, units="si")

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import nu_engine as nu
 from .errors import (
     ComplexDeltaError,
     UndefinedCriticalError,
@@ -28,6 +28,9 @@ from .errors import (
     ValidationError,
 )
 from .model import HARTREE, DeformationModel, QuantumNumbers, UnitSystem
+
+if TYPE_CHECKING:
+    from . import nu_engine as nu
 
 __all__ = [
     "ScaledParameters",
@@ -268,6 +271,8 @@ def spectroscopic_bound(precision: float, units: UnitSystem = HARTREE) -> Spectr
 
 # ---------------------------------------------------------------------------
 # Route through the reduction engine (independent of the closed forms above).
+# ``nu_engine`` needs numpy, so it is imported inside the functions below and
+# the closed forms above load with the standard library alone.
 
 
 def hydrogen_ode(model: DeformationModel, l: int, eps: float) -> nu.HypergeometricODE:
@@ -276,6 +281,8 @@ def hydrogen_ode(model: DeformationModel, l: int, eps: float) -> nu.Hypergeometr
     sigma = 1 - tau s^2, tau_tilde = -tau s,
     sigma_tilde = -(l + 1/2)^2 s^2 + eta s + eps.
     """
+    from . import nu_engine as nu
+
     t = float(model.tau)
     return nu.HypergeometricODE(
         sigma=(1.0, 0.0, -t),
@@ -312,6 +319,8 @@ def energy_via_nu(model: DeformationModel, qn: QuantumNumbers, tol=1e-12) -> flo
     clipped away from the sibling residual root at delta = n_r - l and, for
     dS, from the edge where the k roots turn complex.
     """
+    from . import nu_engine as nu
+
     eps_star = _epsilon_closed(model, qn.l, qn.n)
     width = 0.5 * abs(eps_star)
     lo, hi = eps_star - width, eps_star + width
@@ -342,6 +351,8 @@ def energy_via_nu(model: DeformationModel, qn: QuantumNumbers, tol=1e-12) -> flo
 
 def reduce_level(model: DeformationModel, qn: QuantumNumbers) -> nu.NUReduction:
     """Reduction of the scaled ODE at the quantized spectral parameter."""
+    from . import nu_engine as nu
+
     eps = _epsilon_closed(model, qn.l, qn.n)
     return nu.reduce(
         hydrogen_ode(model, qn.l, eps), branch=hydrogen_branch(model, qn.n)

@@ -1,10 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from euph.cli import main
+from euph.cli import _parse_range, main
 
 
 def one_cell_report(status, errors):
@@ -73,6 +80,81 @@ class TestExitContract:
     def test_missing_output_dir_exits_2(self, tmp_path, capsys):
         assert run(["tables", "--output-dir", str(tmp_path / "missing")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_lambda_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--lambdas", ",", "--n-max", "2", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_empty_level_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f2.csv"
+        assert run(["figure2", "--levels", ",", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_zero_position_spread_exits_2(self, tmp_path, capsys):
+        assert run(["figure1", "--lambda", "0.04", "--dx-range", "0:1:3",
+                    "--output", str(tmp_path / "f1.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_flag_abbreviation_is_rejected(self, tmp_path, capsys):
+        assert run(["tables", "--output", str(tmp_path / "x.csv")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_SI_SCALE = st.sampled_from([0.0, -0.0, 5e-324, 1e-11, -3e-10, 2.5e-10, 1e20, -7e19])
+
+
+class TestParseRange:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a=st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SI_SCALE),
+        b=st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SI_SCALE),
+        n=st.integers(1, 300),
+    )
+    def test_matches_numpy_linspace_bytes(self, a, b, n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.linspace(a, b, n).tobytes()
+        assert np.array(_parse_range(f"{a!r}:{b!r}:{n}")).tobytes() == expected
+
+    @pytest.mark.parametrize("text", ["-0.0:1.0:1", "0.0:5e-324:4", "3.0:3.0:5",
+                                      "-0.0:-0.0:1", "1e-11:3e-10:33", "1e19:1e21:17"])
+    def test_edge_cases_match_numpy_linspace_bytes(self, text):
+        a, b, n = text.split(":")
+        expected = np.linspace(float(a), float(b), int(n)).tobytes()
+        assert np.array(_parse_range(text)).tobytes() == expected
+
+
+def test_closed_form_commands_import_neither_numpy_nor_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = textwrap.dedent(f"""
+        import sys
+        import euph, euph.cli
+        out = {str(tmp_path)!r}
+        for argv in (
+            ["spectrum", "--model", "ds", "--lambda", "0.01", "--output", out + "/s.csv"],
+            ["tables", "--output-dir", out],
+            ["figure1", "--lambda", "0.04", "--output", out + "/f1.csv"],
+            ["figure2", "--format", "json", "--output", out + "/f2.json"],
+            ["bound", "--precision", "1e-15", "--output", out + "/b.csv"],
+        ):
+            assert euph.cli.main(argv) == 0, argv
+        heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+        assert not heavy, heavy
+        from euph import RadialEigenstate, build_state
+        assert build_state.__module__ == RadialEigenstate.__module__ == "euph.wavefunctions"
+        try:
+            euph.nonexistent
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("euph.nonexistent did not raise AttributeError")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTables:
@@ -144,12 +226,12 @@ class TestWavefunction:
 
 class TestVerify:
     def test_cell_errors_exit_3(self, tmp_path, monkeypatch):
-        import euph.cli as cli_mod
+        from euph import oracle
 
         def broken(lambdas, n_max, units=None):
             return one_cell_report("error: synthetic, with a comma", errors=1)
 
-        monkeypatch.setattr(cli_mod.oracle, "crosscheck_report", broken)
+        monkeypatch.setattr(oracle, "crosscheck_report", broken)
         out = tmp_path / "verify.csv"
         code = run(["verify", "--lambdas", "0.01", "--n-max", "1",
                     "--output", str(out)])
@@ -158,12 +240,12 @@ class TestVerify:
         assert body.count(",") == 10  # free text sanitized, column count intact
 
     def test_nothing_verified_exits_3(self, tmp_path, monkeypatch):
-        import euph.cli as cli_mod
+        from euph import oracle
 
         def unverified(lambdas, n_max, units=None):
             return one_cell_report("above-threshold", errors=0)
 
-        monkeypatch.setattr(cli_mod.oracle, "crosscheck_report", unverified)
+        monkeypatch.setattr(oracle, "crosscheck_report", unverified)
         code = run(["verify", "--lambdas", "0.01", "--n-max", "1",
                     "--output", str(tmp_path / "verify.csv")])
         assert code == 3
