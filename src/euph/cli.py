@@ -196,12 +196,7 @@ def cmd_tables(args) -> int:
     for key, table in (("critical", crit), ("inversion", inv)):
         out = f"{args.output_dir}/table_{key}.{args.format}"
         if args.format == "csv":
-            with open(out, "w", newline="") as fh:
-                fh.write(",".join(header) + "\n")
-                for cells in display(table):
-                    fh.write(
-                        ",".join("" if c is None else str(c) for c in cells) + "\n"
-                    )
+            _write_csv(out, header, display(table))
         else:
             _write_json(
                 out,
@@ -464,12 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", allow_abbrev=False, help="uncertainty-floor curves")
     common(p, model_flag=False)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--dx-range", default="0.5:20:200", help="start:stop:count")
+    p.add_argument(
+        "--dx-range", default="0.5:20:200",
+        help="start:stop:count; write --dx-range=START:STOP:COUNT when START begins with '-'",
+    )
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("figure2", allow_abbrev=False, help="s-state energies against the deformation")
     common(p, model_flag=False)
-    p.add_argument("--lambda-range", default="0:0.1:200", help="start:stop:count")
+    p.add_argument(
+        "--lambda-range", default="0:0.1:200",
+        help="start:stop:count; write --lambda-range=START:STOP:COUNT when START begins with '-'",
+    )
     p.add_argument("--levels", default="1,2,3", help="comma-separated n values")
     p.set_defaults(func=cmd_figure2)
 

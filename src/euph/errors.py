@@ -65,10 +65,6 @@ class NonNormalizableError(EuphError):
     """The closed-form state is not square integrable on its domain."""
 
 
-class ComplexDeltaError(EuphError):
-    """The branch root would be complex (negative discriminant)."""
-
-
 class ConvergenceError(EuphError):
     """Numerical scheme did not show the expected convergence order."""
 

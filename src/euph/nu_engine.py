@@ -304,9 +304,9 @@ def _weight_from_tau(sigma, tau, s_anchor=(0.0, 0.5, 2.0, -0.5, 3.0)):
 
 
 def _branch_reduction(ode: HypergeometricODE, k: float, sign: int, k_index: int):
-    plus, minus = pi_branches(ode, k)
-    pi = plus if sign > 0 else minus
+    h = ode.half_difference()
     p = _poly_sqrt(ode.under_root(k))
+    pi = _trim(npoly.polyadd(h, p) if sign > 0 else npoly.polysub(h, p))
     tau = _trim(npoly.polyadd(ode.tau_tilde, 2.0 * np.asarray(pi)))
     lam = k + _coef(pi, 1)
     weight = _weight_from_tau(ode.sigma, tau)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
-    ComplexDeltaError,
     UndefinedCriticalError,
     UndefinedInversionError,
     UnsupportedModelError,
@@ -78,50 +77,22 @@ def _centrifugal(l: int) -> float:
 class ScaledParameters:
     """Scaled quantities of one quantized level.
 
-    ``delta`` is the positive root attached to the selected k branch; at a
-    quantized level it equals the principal quantum number for both signs of
-    the deformation.  ``discriminant`` is the k-quadratic discriminant
-    expression: (eps - A)^2 - eta^2 for dS, (eps + A)^2 + eta^2 for AdS,
-    with A = 1/4 + (l + 1/2)^2.
+    The quantization condition fixes the branch root at ``delta = n`` for both
+    signs of the deformation, so ``epsilon`` is the closed form written
+    through it.  The reduction constant k of the level is
+    ``reduce_level(model, qn).k``.
     """
 
     eta: float
     epsilon: float
     delta: float
-    discriminant: float
-    k: float
-    k_index: int
 
     @classmethod
     def for_level(cls, model: DeformationModel, qn: QuantumNumbers) -> "ScaledParameters":
-        eta = scaled_eta(model)
-        eps = epsilon_of_energy(model, energy(model, qn).energy)
-        a = _centrifugal(qn.l)
-        n = qn.n
-        if model.tau == 1:
-            disc = (eps - a) ** 2 - eta * eta
-            if disc < 0.0:
-                raise ComplexDeltaError(
-                    f"negative dS discriminant {disc:.3e}: no real branch root"
-                )
-            root = math.sqrt(disc)
-            ks = (0.5 * (eps + a + root), 0.5 * (eps + a - root))
-            deltas = [math.sqrt(max(a - k, 0.0)) for k in ks]
-        else:
-            disc = (eps + a) ** 2 + eta * eta
-            root = math.sqrt(disc)
-            ks = (0.5 * (eps - a + root), 0.5 * (eps - a - root))
-            deltas = [
-                math.sqrt(a + k) if a + k >= 0.0 else math.inf for k in ks
-            ]
-        k_index = min((0, 1), key=lambda i: abs(deltas[i] - n))
         return cls(
-            eta=eta,
-            epsilon=eps,
-            delta=deltas[k_index],
-            discriminant=disc,
-            k=ks[k_index],
-            k_index=k_index,
+            eta=scaled_eta(model),
+            epsilon=_epsilon_closed(model, qn.l, qn.n),
+            delta=float(qn.n),
         )
 
 
@@ -327,9 +298,7 @@ def energy_via_nu(model: DeformationModel, qn: QuantumNumbers, tol=1e-12) -> flo
 
     spurious = qn.n_r - qn.l
     if spurious >= 1:
-        eps_sp = -model.tau * (spurious**2 - _centrifugal(qn.l)) - scaled_eta(
-            model
-        ) ** 2 / (4.0 * spurious**2)
+        eps_sp = _epsilon_closed(model, qn.l, spurious)
         if lo < eps_sp < eps_star:
             lo = 0.5 * (eps_sp + eps_star)
         elif eps_star < eps_sp < hi:

@@ -106,8 +106,8 @@ def tail_exponent(model: DeformationModel, qn: QuantumNumbers) -> float:
 def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate:
     """Assemble and normalize the closed-form radial eigenstate.
 
-    The branch root delta is recomputed from the closed-form energy and
-    cross-checked against the reduction engine; the polynomial factor comes
+    The branch root of a quantized level is delta = n; the reduction
+    engine's root is cross-checked against it.  The polynomial factor comes
     from the Rodrigues generator of the state's weight.  Normalization uses
     the flat measure int |psi|^2 r^2 dr over the radial domain (kept in this
     one routine so the measure convention can be swapped centrally).
@@ -117,9 +117,9 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
 
     red = spectra.reduce_level(model, qn)
     delta_engine = abs(red.root_poly[1]) if len(red.root_poly) > 1 else 0.0
-    if abs(delta_engine - params.delta) > 1e-9 * max(1.0, params.delta):
+    if abs(delta_engine - qn.n) > 1e-9 * qn.n:
         raise ValidationError(
-            f"branch root mismatch: closed form {params.delta!r}, "
+            f"branch root mismatch: quantized delta = n = {qn.n}, "
             f"engine {delta_engine!r}"
         )
 

@@ -205,6 +205,15 @@ class TestFigures:
             lam, e_ds, e_ads = map(float, ln.split(","))
             assert e_ds == -0.5 and e_ads == -0.5
 
+    def test_range_starting_with_minus_in_equals_form(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "f2.csv"
+        assert run(["figure2", "--lambda-range=-0.0:0.1:3", "--levels", "1",
+                    "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert rows[0].split(",")[0] == "0"
+
 
 class TestWavefunction:
     def test_summary_and_file(self, tmp_path, capsys):

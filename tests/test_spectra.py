@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euph import spectra
 from euph.errors import (
@@ -214,18 +217,48 @@ class TestScaledParameters:
                 sp = spectra.ScaledParameters.for_level(
                     DeformationModel(tau, lam), QuantumNumbers(n, l)
                 )
-                assert sp.delta == pytest.approx(n, rel=1e-11)
-                if tau == 1:
-                    assert sp.discriminant >= -1e-12
-                else:
-                    assert sp.discriminant > 0.0
+                assert sp.delta == n
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(spectra.ScaledParameters)]
+        assert names == ["eta", "epsilon", "delta"]
+
+    # The dS k roots exchange the physical delta at lam = 1/n^4 (Hartree);
+    # the examples sit a relative 1e-15 on either side of that point.  At
+    # lam = 1/14 the AdS (2, 0) level has eps = 0.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.floats(-18.0, 0.0).map(lambda e: 10.0**e),
+        tau=st.sampled_from([1, -1]),
+        units=st.sampled_from([HARTREE, SI]),
+        n=st.integers(1, 6),
+    )
+    @example(lam=1.0 + 1e-15, tau=1, units=HARTREE, n=1)
+    @example(lam=1.0 - 1e-15, tau=1, units=HARTREE, n=1)
+    @example(lam=(1.0 + 1e-15) / 16.0, tau=1, units=HARTREE, n=2)
+    @example(lam=(1.0 - 1e-15) / 16.0, tau=1, units=HARTREE, n=2)
+    @example(lam=(1.0 + 1e-15) / 81.0, tau=1, units=HARTREE, n=3)
+    @example(lam=(1.0 - 1e-15) / 81.0, tau=1, units=HARTREE, n=3)
+    @example(lam=1.0 / 14.0, tau=-1, units=HARTREE, n=2)
+    def test_quantized_level_has_delta_n(self, lam, tau, units, n):
+        model = DeformationModel(tau, lam / units.bohr_radius**2, units=units)
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            sp = spectra.ScaledParameters.for_level(model, qn)
+            assert sp.delta == n
+            expected = spectra.epsilon_of_energy(model, spectra.energy(model, qn).energy)
+            # eps is a difference of terms of size n^2 and eta^2/(4 n^2) and
+            # crosses zero for AdS, so the bound is relative to the larger term.
+            scale = max(abs(sp.epsilon), n * n, sp.eta**2 / (4.0 * n * n))
+            assert abs(sp.epsilon - expected) <= 1e-12 * scale
 
     def test_frozen_example_values(self):
         # AdS lam=0.01, level (2,0): eps = -21.5, k = 3.5, eta = 20
         sp = spectra.ScaledParameters.for_level(ads(0.01), QuantumNumbers(2, 0))
         assert sp.eta == pytest.approx(20.0, rel=1e-14)
         assert sp.epsilon == pytest.approx(-21.5, rel=1e-14)
-        assert sp.k == pytest.approx(3.5, rel=1e-12)
+        red = spectra.reduce_level(ads(0.01), QuantumNumbers(2, 0))
+        assert red.k == pytest.approx(3.5, rel=1e-12)
         # dS lam=0.1, ground: eps = -10.5
         sp = spectra.ScaledParameters.for_level(ds(0.1), QuantumNumbers(1, 0))
         assert sp.epsilon == pytest.approx(-10.5, rel=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import integrate
 from scipy.special import sph_harm_y
 
 from euph import spectra, wavefunctions as wf
-from euph.errors import DomainError, NonNormalizableError
+from euph.errors import DomainError, NonNormalizableError, ValidationError
 from euph.model import DeformationModel, QuantumNumbers
 from euph.polynomials import Jacobi, Romanovski
 
@@ -264,3 +265,22 @@ class TestCrossChecks:
         # build_state verifies the closed-form branch root against the engine
         state = wf.build_state(ds(0.005), QuantumNumbers(3, 1))
         assert state.params.delta == pytest.approx(3.0, rel=1e-11)
+
+    def test_small_lambda_level_passes_the_cross_check(self):
+        # at this lam, delta rebuilt from the energy through the cancelling
+        # k-discriminant misses n by 4e-6, far past the 1e-9 cross-check
+        state = wf.build_state(ds(5.216935833485621e-13), QuantumNumbers(2, 0))
+        assert state.params.delta == 2.0
+        assert wf.count_nodes(state) == 1
+        assert wf.radial_overlap(state, state, "flat") == pytest.approx(1.0, abs=1e-8)
+
+    def test_engine_root_other_than_n_is_rejected(self, monkeypatch):
+        real = spectra.reduce_level
+
+        def shifted(model, qn):
+            red = real(model, qn)
+            return dataclasses.replace(red, root_poly=(red.root_poly[0], 2.0 * qn.n))
+
+        monkeypatch.setattr(spectra, "reduce_level", shifted)
+        with pytest.raises(ValidationError, match="branch root mismatch"):
+            wf.build_state(ads(0.01), QuantumNumbers(2, 0))
