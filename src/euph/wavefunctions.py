@@ -11,15 +11,15 @@ space with the normalization constant folded into the exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 from scipy import integrate
 
 from . import spectra
-from .errors import DomainError, NonNormalizableError, ValidationError
-from .model import DeformationModel, QuantumNumbers, r_of_s
+from .errors import DomainError, NonNormalizableError, NotAPerfectSquareError, ValidationError
+from .model import DeformationModel, QuantumNumbers
 from .polynomials import Jacobi, Romanovski, poly_coefficients
 
 __all__ = [
@@ -69,20 +69,31 @@ def _log_radial_in_s(state: RadialEigenstate, s, s_minus_1=None, log_prefactor=0
     """(log|R| + log_prefactor, sign) of the unnormalized R factor at s.
 
     dS callers pass the cancellation-free s - 1; AdS accepts any real s.
+    Both envelopes are measured from the atom's end s -> inf, so no term of
+    size eta*log(s) is formed: dS as (1/2 - delta) log(s+1) + A log t with
+    t = (s-1)/(s+1), AdS as p log(1+s^2) - q atan2(1, s).
     """
     s = np.asarray(s, dtype=float)
     p = state.params
+    rate = _envelope_rate(state.model.tau, p)
     if state.model.tau == 1:
-        a_exp = 0.25 * (1.0 - 2.0 * p.delta + p.eta / p.delta)
-        b_exp = 0.25 * (1.0 - 2.0 * p.delta - p.eta / p.delta)
-        env = a_exp * np.log(s_minus_1) + b_exp * np.log(s + 1.0)
+        u = 2.0 / (s + 1.0)
+        # the clip keeps log1p finite where the other branch is taken (u -> 1)
+        log_t = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(s_minus_1 / (s + 1.0)))
+        env = (0.5 - p.delta) * np.log(s + 1.0) + rate * log_t
     else:
-        p_exp = 0.5 * (0.5 - p.delta)
-        env = p_exp * np.log1p(s * s) + (p.eta / (2.0 * p.delta)) * np.arctan(s)
+        env = 0.5 * (0.5 - p.delta) * np.log1p(s * s) - rate * np.arctan2(1.0, s)
     y = npoly.polyval(s, np.asarray(state.poly_coeffs))
     with np.errstate(divide="ignore"):
         logy = np.where(y == 0.0, -np.inf, np.log(np.abs(np.where(y == 0.0, 1.0, y))))
     return env + log_prefactor + logy, np.sign(y)
+
+
+def _envelope_rate(tau: int, p: spectra.ScaledParameters) -> float:
+    """dS: A = (1 - 2 delta + eta/delta)/4, the exponent of t; AdS: q = eta/(2 delta)."""
+    if tau == 1:
+        return 0.25 * (1.0 - 2.0 * p.delta + p.eta / p.delta)
+    return p.eta / (2.0 * p.delta)
 
 
 def _raw_log_and_sign(state: RadialEigenstate, r):
@@ -116,7 +127,12 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
     params = spectra.ScaledParameters.for_level(model, qn)
 
     red = spectra.reduce_level(model, qn)
-    delta_engine = abs(red.root_poly[1]) if len(red.root_poly) > 1 else 0.0
+    if len(red.root_poly) < 2:
+        raise NotAPerfectSquareError(
+            f"reduction engine found no linear branch root for (n={qn.n}, l={qn.l}) "
+            f"at lam={model.lam}"
+        )
+    delta_engine = abs(red.root_poly[1])
     if abs(delta_engine - qn.n) > 1e-9 * qn.n:
         raise ValidationError(
             f"branch root mismatch: quantized delta = n = {qn.n}, "
@@ -138,75 +154,72 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
 
     coeffs = tuple(float(c) for c in poly_coefficients(family, qn.n_r))
 
-    probe = RadialEigenstate(
-        model=model,
-        qn=qn,
-        level=level,
-        params=params,
-        family=family,
-        poly_coeffs=coeffs,
-        domain=domain,
-        log_norm=0.0,
-        sign=1.0,
+    log_norm, sign = _normalize(model, qn, params, coeffs)
+    return RadialEigenstate(
+        model=model, qn=qn, level=level, params=params, family=family,
+        poly_coeffs=coeffs, domain=domain, log_norm=log_norm, sign=sign,
     )
-    log_norm, sign = _normalize(probe)
-    return replace(probe, log_norm=log_norm, sign=sign)
 
 
-def _radial_scale(state: RadialEigenstate) -> float:
-    """Characteristic radius (Bohr-like size) used for probe grids."""
-    a0 = state.model.units.bohr_radius
-    return max(2.0 * state.qn.n**2 * a0, a0)
+def _gauss_jacobi_u(m: int, alpha: float, beta: float):
+    """m-point Gauss rule for the weight u^beta (1-u)^alpha on [0, 1].
+
+    Golub-Welsch on the Jacobi recurrence shifted to u; every recurrence
+    entry is a sum of positive terms, so nodes near u = 0 keep their
+    relative accuracy.  Returns (nodes, weights) with weights summing to 1.
+    """
+    k = np.arange(m, dtype=float)
+    s = alpha + beta
+    t = 2.0 * k + s
+    diag = (2.0 * k * (k + s + 1.0) + s * (beta + 1.0)) / (t * (t + 2.0))
+    j, t = k[1:], t[1:]
+    off = np.sqrt(j * (j + alpha) * (j + beta) * (j + s) / (t * t * (t + 1.0) * (t - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2
 
 
-def _normalize(probe: RadialEigenstate):
-    """Flat-measure normalization in log space; returns (log_norm, sign)."""
-    model = probe.model
-    scale = _radial_scale(probe)
-    if model.tau == -1:
-        hi = probe.domain[1]
-        r_probe = np.linspace(hi * 1e-6, hi * (1.0 - 1e-9), 3001)
-    else:
-        hi = 50.0 * scale
-        r_probe = np.geomspace(scale * 1e-6, hi, 3001)
-    log_raw, _ = _raw_log_and_sign(probe, r_probe)
-    shift = float(np.max(log_raw + np.log(np.maximum(r_probe, 1e-300))))
+_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
 
-    def integrand(r):
-        lg, sg = _raw_log_and_sign(probe, np.asarray([r]))
-        val = sg[0] * math.exp(min(lg[0] - shift, 700.0))
-        return val * val * r * r
 
-    pts_inner = [probe.domain[1] * f for f in (1e-4, 1e-2, 0.1, 0.5, 0.9)] if (
-        model.tau == -1
-    ) else [scale * f for f in (1e-4, 1e-2, 0.1, 1.0, 5.0, 20.0)]
-    upper = probe.domain[1] if model.tau == -1 else math.inf
-    total = 0.0
-    edges = [0.0] + sorted(p for p in pts_inner if p < (upper if math.isfinite(upper) else 1e9))
-    if math.isfinite(upper):
-        edges.append(upper)
-    else:
-        edges.append(60.0 * scale)
-    for a, b in zip(edges[:-1], edges[1:]):
-        part, _ = integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)
-        total += part
-    if not math.isfinite(upper):
-        tail, _ = integrate.quad(
-            integrand, edges[-1], math.inf, epsabs=1e-13, epsrel=1e-12, limit=400
-        )
-        total += tail
-    if not total > 0.0 or not math.isfinite(total):
-        raise NonNormalizableError("normalization integral did not converge")
-    log_norm = shift + 0.5 * math.log(total)
+def _normalize(
+    model: DeformationModel, qn: QuantumNumbers, params: spectra.ScaledParameters, poly_coeffs
+):
+    """Flat-measure normalization by an exact Gauss rule; returns (log_norm, sign).
 
-    # phase: positive toward the decaying end (dS tail / AdS wall side)
+    N = int R^2 r dr is a known weight times a polynomial in the atom's own
+    variable.  dS, u = 2/(s+1): N = 2^-(2+2 delta)/lam int u^(2l+2) (1-u)^(2A-2)
+    (2-u) Q^2 du with Q = u^n_r y(2/u - 1), exact under n_r + 1 Gauss-Jacobi
+    nodes.  AdS, phi = atan(1/s): N = 1/lam int e^(-2 q phi) cos(phi)
+    sin(phi)^(2l+2) Z^2 dphi with Z = sin(phi)^n_r y(cot phi), by 64-point
+    Gauss-Legendre up to where e^(-2 q phi) has decayed.
+    """
+    coeffs = np.asarray(poly_coeffs)
+    rate = _envelope_rate(model.tau, params)
     if model.tau == 1:
-        r_conv = 8.0 * scale
+        alpha, beta = 2.0 * rate - 2.0, 2.0 * qn.l + 2.0
+        u, w = _gauss_jacobi_u(qn.n_r + 1, alpha, beta)
+        q = u**qn.n_r * npoly.polyval(2.0 / u - 1.0, coeffs)
+        total = float(np.dot(w, (2.0 - u) * q * q))
+        # log of 2^-(2+2 delta) times the weight's mass B(beta+1, alpha+1)
+        shift = -(2.0 + 2.0 * params.delta) * math.log(2.0) + math.lgamma(beta + 1.0)
+        shift -= sum(math.log(alpha + j) for j in range(1, 2 * qn.l + 4))
+        y_end = npoly.polyval(1.0, coeffs)
     else:
-        r_conv = probe.domain[1] * (1.0 - 1e-6)
-    _, sg = _raw_log_and_sign(probe, np.asarray([r_conv]))
-    sign = float(sg[0]) if sg[0] != 0.0 else 1.0
-    return log_norm, sign
+        hi = min(0.5 * math.pi, (60.0 + 4.0 * qn.n) / (2.0 * rate))
+        x, w = _LEGENDRE_64
+        phi = 0.5 * hi * (x + 1.0)
+        sin = np.sin(phi)
+        z = sin**qn.n_r * npoly.polyval(np.cos(phi) / sin, coeffs)
+        log_f = (2.0 * qn.l + 2.0) * np.log(sin) + np.log(np.cos(phi)) - 2.0 * rate * phi
+        log_f += 2.0 * np.log(np.abs(z))
+        shift = float(np.max(log_f))
+        total = 0.5 * hi * float(np.dot(w, np.exp(log_f - shift)))
+        y_end = coeffs[0]
+    if not (total > 0.0 and math.isfinite(total) and math.isfinite(shift)):
+        raise NonNormalizableError("normalization sum is not positive and finite")
+    log_norm = 0.5 * (shift + math.log(total) - math.log(model.lam))
+    # phase: positive toward the decaying end (dS tail s -> 1, AdS wall s -> 0)
+    return log_norm, -1.0 if y_end < 0.0 else 1.0
 
 
 def radial_eval(state: RadialEigenstate, r):
@@ -227,30 +240,15 @@ def radial_eval(state: RadialEigenstate, r):
     return float(vals[0]) if scalar else vals
 
 
-def count_nodes(state: RadialEigenstate, samples: int = 4000) -> int:
-    """Strict sign changes of radial_eval on a uniform interior grid.
+def count_nodes(state: RadialEigenstate) -> int:
+    """Nodes of the radial factor: real roots of y in the physical s-interval.
 
-    The window covers the inner 99.9 percent of the AdS domain; for dS the
-    operationally equivalent window is twice the outermost polynomial root
-    (all sign changes come from the polynomial factor).
+    The envelope has no zeros, so every node is a root of the polynomial
+    factor with s > 1 (dS) or s > 0 (AdS).
     """
-    if samples < 1000:
-        raise ValidationError("node counting needs at least 1000 samples")
-    if state.model.tau == -1:
-        hi = state.domain[1]
-        lo, hi = 5e-4 * hi, (1.0 - 5e-4) * hi
-    else:
-        roots = npoly.polyroots(np.asarray(state.poly_coeffs))
-        real = [float(z.real) for z in np.atleast_1d(roots) if abs(z.imag) < 1e-9 and z.real > 1.0]
-        r_nodes = [r_of_s(state.model, s) for s in real]
-        hi = 2.0 * max(r_nodes, default=0.0) + 4.0 * _radial_scale(state)
-        lo = 5e-4 * hi
-    grid = np.linspace(lo, hi, samples)
-    vals = radial_eval(state, grid)
-    signs = np.sign(vals)
-    keep = signs != 0.0
-    signs = signs[keep]
-    return int(np.sum(signs[1:] * signs[:-1] < 0.0))
+    roots = np.atleast_1d(npoly.polyroots(np.asarray(state.poly_coeffs)))
+    lo = 1.0 if state.model.tau == 1 else 0.0
+    return sum(1 for z in roots if abs(z.imag) <= 1e-9 * abs(z) and z.real > lo)
 
 
 def _legendre_assoc(l: int, m: int, x):
@@ -326,25 +324,25 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     if measure not in ("flat", "operator"):
         raise ValidationError(f"unknown measure {measure!r}")
 
-    def integrand(r):
-        v = radial_eval(state_a, r) * radial_eval(state_b, r) * r * r
+    a0 = model.units.bohr_radius
+
+    def integrand(x):
+        r = a0 * x
+        v = radial_eval(state_a, r) * radial_eval(state_b, r) * r * r * a0
         if measure == "operator":
             v = v / math.sqrt(model.chi2(r))
         return v
 
-    hi = state_a.domain[1]
-    if math.isfinite(hi):
-        val, _ = integrate.quad(
-            integrand, 0.0, hi, epsabs=1e-12, epsrel=1e-11, limit=400,
-            points=[hi * f for f in (1e-3, 0.1, 0.5, 0.9, 0.99)],
-        )
-    else:
-        scale = max(_radial_scale(state_a), _radial_scale(state_b))
-        val, _ = integrate.quad(
-            integrand, 0.0, 60.0 * scale, epsabs=1e-12, epsrel=1e-11, limit=400
-        )
-        tail, _ = integrate.quad(
-            integrand, 60.0 * scale, math.inf, epsabs=1e-12, epsrel=1e-11, limit=400
-        )
+    # breakpoints around the atom, in units of a0 and of the larger state's n^2
+    n2 = max(state_a.qn.n, state_b.qn.n) ** 2
+    points = [n2 * f for f in (0.1, 1.0, 4.0, 16.0, 60.0)]
+    end = state_a.domain[1] / a0  # the AdS wall, or inf for dS
+    edge = min(points[-1], end)
+    val, _ = integrate.quad(
+        integrand, 0.0, edge, epsabs=1e-12, epsrel=1e-11, limit=400,
+        points=[x for x in points if x < edge],
+    )
+    if edge < end:
+        tail, _ = integrate.quad(integrand, edge, end, epsabs=1e-12, epsrel=1e-11, limit=400)
         val += tail
     return val

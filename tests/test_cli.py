@@ -232,6 +232,16 @@ class TestWavefunction:
                     "--n", "3", "--l", "0", "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_engine_failure_exits_3(self, tmp_path, capsys):
+        # lam = 0.01 m^-2 is 2.8e-23 a0^-2: the reduction engine finds no
+        # linear branch root there, a numerical failure rather than bad input
+        code = run(["wavefunction", "--model", "ds", "--lambda", "0.01", "--n", "2",
+                    "--l", "0", "--units", "si", "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("failure: reduction engine found no linear branch root")
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_cell_errors_exit_3(self, tmp_path, monkeypatch):

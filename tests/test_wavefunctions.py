@@ -1,14 +1,18 @@
 import dataclasses
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import sph_harm_y
 
 from euph import spectra, wavefunctions as wf
-from euph.errors import DomainError, NonNormalizableError, ValidationError
-from euph.model import DeformationModel, QuantumNumbers
+from euph.errors import DomainError, EuphError, NonNormalizableError, ValidationError
+from euph.model import SI, DeformationModel, QuantumNumbers
 from euph.polynomials import Jacobi, Romanovski
 
 
@@ -89,6 +93,84 @@ class TestBuildState:
         assert n2 == pytest.approx(1.0, abs=1e-8)
 
 
+_ATOM_BREAKPOINTS = (0.1, 0.5, 1, 2, 4, 6, 8, 12, 16, 30, 60)
+
+
+def _mpmath_norm_offset(state):
+    """log of int R^2 r dr / exp(2 log_norm), by 30-digit mpmath quadrature in r.
+
+    R is rebuilt from the envelope definitions: |s-1|^A (s+1)^B y(s) for dS
+    and (1+s^2)^p exp(-q atan(1/s)) y(s) for AdS.  The integrand is scaled by
+    exp(-2 log_norm) because mpmath's stopping rule is absolute.
+    """
+    mp.mp.dps = 30
+    model, qn, p = state.model, state.qn, state.params
+    lam = mp.mpf(model.lam)
+    sl = mp.sqrt(lam)
+    d, eta = mp.mpf(p.delta), mp.mpf(p.eta)
+    coeffs = [mp.mpf(c) for c in reversed(state.poly_coeffs)]
+    scale = mp.exp(-2 * mp.mpf(state.log_norm))
+    if model.tau == 1:
+        a_exp = (1 - 2 * d + eta / d) / 4
+        b_exp = (1 - 2 * d - eta / d) / 4
+
+        def integrand(r):
+            chi = mp.sqrt(1 + lam * r * r)
+            s = chi / (sl * r)
+            s_minus_1 = 1 / (sl * r * (chi + sl * r))
+            env = s_minus_1 ** (2 * a_exp) * (s + 1) ** (2 * b_exp)
+            return scale * env * mp.polyval(coeffs, s) ** 2 * r
+
+        edges = [qn.n**2 * b for b in _ATOM_BREAKPOINTS] + [mp.inf]
+    else:
+        q = eta / (2 * d)
+
+        def integrand(r):
+            # fabs: a node may round past the wall in the last digit
+            s = mp.sqrt(mp.fabs(1 - lam * r * r)) / (sl * r)
+            env = (1 + s * s) ** (mp.mpf(0.5) - d) * mp.exp(-2 * q * mp.atan2(1, s))
+            return scale * env * mp.polyval(coeffs, s) ** 2 * r
+
+        wall = 1 / sl
+        edges = [qn.n**2 * b for b in _ATOM_BREAKPOINTS if qn.n**2 * b < wall] + [wall]
+    return float(mp.log(mp.quad(integrand, [0] + edges)))
+
+
+class TestNormalization:
+    @pytest.mark.parametrize("lam", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
+    def test_log_norm_matches_mpmath(self, tau, lam):
+        model = DeformationModel(tau, lam)
+        for n in range(1, 5):
+            for l in range(n):
+                try:
+                    state = wf.build_state(model, QuantumNumbers(n, l))
+                except NonNormalizableError:
+                    assert tau == 1 and lam == 1e-2
+                    continue
+                assert abs(0.5 * _mpmath_norm_offset(state)) <= 1e-12, (n, l)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tau=st.sampled_from([1, -1]),
+        log10_lam=st.floats(-12.0, -1.0),
+        n=st.integers(1, 4),
+        l_frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_si_equals_hartree(self, tau, log10_lam, n, l_frac):
+        lam = 10.0**log10_lam
+        qn = QuantumNumbers(n, int(l_frac * n))
+        a0 = SI.bohr_radius
+        try:
+            hartree = wf.build_state(DeformationModel(tau, lam), qn)
+            si = wf.build_state(DeformationModel(tau, lam / a0**2, units=SI), qn)
+        except EuphError:
+            return
+        assert abs(si.log_norm - hartree.log_norm - math.log(a0)) <= 1e-12
+        for state in (hartree, si):
+            assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-10
+
+
 class TestShapes:
     def test_ds_tail_decays_monotonically(self):
         state = wf.build_state(ds(0.001), QuantumNumbers(2, 0))
@@ -96,6 +178,15 @@ class TestShapes:
         vals = np.abs(wf.radial_eval(state, radii))
         assert np.all(np.diff(vals) < 0.0)
         assert vals[-1] < 1e-4 * vals[0]
+
+    def test_ds_far_tail_evaluates_without_warnings(self):
+        # far out s rounds to 1, where the t = (s-1)/(s+1) branch switch must
+        # not evaluate log1p(-1)
+        state = wf.build_state(ds(0.01), QuantumNumbers(1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = wf.radial_eval(state, np.array([1e3, 1e12]))
+        assert np.all(np.isfinite(vals)) and vals[0] > vals[1] >= 0.0
 
     def test_ads_ground_decreases_inward_region(self):
         state = wf.build_state(ads(0.01), QuantumNumbers(1, 0))
@@ -142,10 +233,11 @@ class TestNodes:
                     continue
                 assert wf.count_nodes(state) == n - l - 1
 
-    def test_sample_floor(self):
-        state = wf.build_state(ads(0.01), QuantumNumbers(1, 0))
-        with pytest.raises(Exception):
-            wf.count_nodes(state, samples=10)
+    @pytest.mark.parametrize("n,l", [(3, 0), (4, 1)])
+    def test_small_lambda_ads_nodes_are_counted(self, n, l):
+        # the atom is a 1e-5 sliver of the 1e6 a0 wall radius here
+        state = wf.build_state(ads(1e-12), QuantumNumbers(n, l))
+        assert wf.count_nodes(state) == 2
 
 
 def _radial_ode_residual(state, radii):
