@@ -15,13 +15,14 @@ where Lambda matches the level constant  Lambda_n = -n tau' - n(n-1) sigma''/2,
 and are generated by the Rodrigues relation with the Pearson weight rho
 solving (sigma*rho)' = tau*rho.
 
-Polynomial coefficients are stored ascending (numpy.polynomial convention).
+Polynomial coefficients are stored ascending, as tuples of floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -50,22 +51,50 @@ __all__ = [
 ]
 
 MAX_RODRIGUES_DEGREE = 64
+_NEGLIGIBLE = 1e-13  # relative size below which a sum has cancelled to zero
+_BISECTION_STOP = 1e-12  # relative bracket width at which solve_level stops
+
+
+def _negligible(x, *terms) -> bool:
+    """True when x, formed by summing ``terms``, is zero up to rounding."""
+    return abs(x) <= _NEGLIGIBLE * sum(map(abs, terms))
 
 
 def _trim(c) -> tuple:
-    arr = npoly.polytrim(np.asarray(c, dtype=float), tol=0.0)
-    return tuple(float(x) for x in arr)
+    """Coefficients without trailing zeros; the zero polynomial is (0.0,)."""
+    out = list(c)
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return tuple(out) if out else (0.0,)
 
 
 def _degree(c) -> int:
-    arr = npoly.polytrim(np.asarray(c, dtype=float), tol=0.0)
-    if len(arr) == 1 and arr[0] == 0.0:
-        return -1
-    return len(arr) - 1
+    """Degree of trimmed coefficients, -1 for the zero polynomial."""
+    return -1 if c == (0.0,) else len(c) - 1
 
 
 def _coef(c, i) -> float:
-    return float(c[i]) if i < len(c) else 0.0
+    return c[i] if i < len(c) else 0.0
+
+
+def _axpy(a, x, b) -> tuple:
+    """Coefficients of a + x*b."""
+    out = [ai + x * bi for ai, bi in zip(a, b)]
+    out.extend(a[len(b):])
+    out.extend(x * bi for bi in b[len(a):])
+    return _trim(out)
+
+
+def _mul(a, b) -> tuple:
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _der(c) -> tuple:
+    return _trim([i * c[i] for i in range(1, len(c))])
 
 
 @dataclass(frozen=True)
@@ -77,9 +106,8 @@ class HypergeometricODE:
     sigma_tilde: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _trim(self.sigma))
-        object.__setattr__(self, "tau_tilde", _trim(self.tau_tilde))
-        object.__setattr__(self, "sigma_tilde", _trim(self.sigma_tilde))
+        for name in ("sigma", "tau_tilde", "sigma_tilde"):
+            object.__setattr__(self, name, _trim(map(float, getattr(self, name))))
         if _degree(self.sigma) < 0:
             raise ValidationError("sigma must not be identically zero")
         if _degree(self.sigma) > 2 or _degree(self.sigma_tilde) > 2:
@@ -89,17 +117,25 @@ class HypergeometricODE:
 
     def half_difference(self) -> tuple:
         """(sigma' - tau_tilde)/2, a linear polynomial."""
-        d = npoly.polysub(npoly.polyder(self.sigma), self.tau_tilde)
-        return _trim(0.5 * np.asarray(npoly.polytrim(d), dtype=float))
+        return self._half_difference
+
+    @cached_property
+    def _half_difference(self) -> tuple:
+        return tuple(0.5 * c for c in _axpy(_der(self.sigma), -1.0, self.tau_tilde))
 
     def under_root(self, k: float) -> tuple:
         """((sigma'-tau_tilde)/2)^2 - sigma_tilde + k*sigma."""
-        h = self.half_difference()
-        q = npoly.polyadd(
-            npoly.polysub(npoly.polymul(h, h), self.sigma_tilde),
-            k * np.asarray(self.sigma),
-        )
-        return _trim(q)
+        return _under_root(self, k)[0]
+
+
+def _under_root(ode: HypergeometricODE, k: float):
+    """The under-root quadratic and, per coefficient, the magnitudes of its terms."""
+    h0, h1 = (_coef(ode.half_difference(), i) for i in range(2))
+    terms = [
+        (hh, -_coef(ode.sigma_tilde, i), k * _coef(ode.sigma, i))
+        for i, hh in enumerate((h0 * h0, 2.0 * h0 * h1, h1 * h1))
+    ]
+    return _trim(sum(t) for t in terms), [sum(map(abs, t)) for t in terms]
 
 
 @dataclass(frozen=True)
@@ -163,13 +199,18 @@ class NUReduction:
     pi: tuple
     tau: tuple
     level_lambda: float  # Lambda = k + pi'
-    weight: WeightDescriptor
+    sigma: tuple
     branch_id: str
     root_poly: tuple = field(default=())  # linear sqrt of the under-root quadratic
 
     @property
     def tau_slope(self) -> float:
         return _coef(self.tau, 1)
+
+    @cached_property
+    def weight(self) -> WeightDescriptor:
+        """Pearson weight of (sigma, tau), built on first read."""
+        return _weight_from_tau(self.sigma, self.tau)
 
 
 def k_candidates(ode: HypergeometricODE):
@@ -179,31 +220,28 @@ def k_candidates(ode: HypergeometricODE):
     iff its s-discriminant vanishes; that condition is quadratic in k.  Raises
     ComplexRootsError when the k-discriminant is negative (no real reduction).
     """
-    h = ode.half_difference()
-    base = npoly.polysub(npoly.polymul(h, h), ode.sigma_tilde)
+    base = ode.under_root(0.0)  # ((sigma'-tau_tilde)/2)^2 - sigma_tilde
     b0, b1, b2 = (_coef(base, i) for i in range(3))
     s0, s1, s2 = (_coef(ode.sigma, i) for i in range(3))
 
     a = s1 * s1 - 4.0 * s2 * s0
     b = 2.0 * b1 * s1 - 4.0 * (b2 * s0 + b0 * s2)
     c = b1 * b1 - 4.0 * b2 * b0
-    scale = max(abs(a), abs(b), abs(c), 1.0)
 
-    if abs(a) <= 1e-14 * scale:
-        if abs(b) <= 1e-14 * scale:
+    if _negligible(a, s1 * s1, 4.0 * s2 * s0):
+        if _negligible(b, 2.0 * b1 * s1, 4.0 * b2 * s0, 4.0 * b0 * s2):
             raise ComplexRootsError("degenerate k-equation: no isolated roots")
         k = -c / b
         return (k, k)
 
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        if disc > -1e-12 * scale * scale:
-            disc = 0.0
-        else:
+        if not _negligible(disc, b * b, 4.0 * a * c):
             raise ComplexRootsError(
                 "k-quadratic has complex roots (non-quantizable parameters)",
                 discriminant=disc,
             )
+        disc = 0.0
     root = math.sqrt(disc)
     # stable quadratic roots
     if b >= 0.0:
@@ -212,32 +250,33 @@ def k_candidates(ode: HypergeometricODE):
         q = -0.5 * (b - root)
     k1 = q / a
     k2 = c / q if q != 0.0 else k1
-    lo, hi = min(k1, k2), max(k1, k2)
-    return (hi, lo)
+    return (max(k1, k2), min(k1, k2))
 
 
-def _poly_sqrt(q, tol=1e-10):
+def _poly_sqrt(q, terms):
     """Exact linear square root of a quadratic with vanishing discriminant.
 
-    Returns coefficients (p0, p1) with nonnegative leading coefficient such
-    that (p0 + p1 s)^2 = q.  Raises NotAPerfectSquareError otherwise.
+    ``terms`` holds, per coefficient of q, the summed magnitudes of the terms
+    that formed it.  Returns coefficients (p0, p1) with nonnegative leading
+    coefficient such that (p0 + p1 s)^2 = q.  Raises NotAPerfectSquareError
+    otherwise.
     """
     q0, q1, q2 = (_coef(q, i) for i in range(3))
-    scale = max(q1 * q1, abs(4.0 * q2 * q0), q2 * q2, abs(q0), 1.0)
-    if abs(q2) > 1e-13 * scale:
+    m0, m1, m2 = (_coef(terms, i) for i in range(3))
+    if not _negligible(q2, m2):
         if q2 < 0.0:
             raise NotAPerfectSquareError("under-root quadratic opens downward")
         resid = q1 * q1 - 4.0 * q2 * q0
-        if abs(resid) > tol * scale:
+        if not _negligible(resid, q1 * q1, 4.0 * q2 * q0):
             raise NotAPerfectSquareError(
-                f"under-root discriminant residual {resid:.3e} exceeds tolerance"
+                f"under-root discriminant residual {resid:.3e} is not negligible"
             )
         p1 = math.sqrt(q2)
         return (q1 / (2.0 * p1), p1)
     # degenerate: quadratic part vanished
-    if abs(q1) > tol * scale:
+    if not _negligible(q1, m1):
         raise NotAPerfectSquareError("linear under-root expression is not a square")
-    if q0 < -tol * scale:
+    if q0 < 0.0 and not _negligible(q0, m0):
         raise NotAPerfectSquareError("constant under-root expression is negative")
     return (math.sqrt(max(q0, 0.0)),)
 
@@ -245,79 +284,63 @@ def _poly_sqrt(q, tol=1e-10):
 def pi_branches(ode: HypergeometricODE, k: float):
     """The two linear pi polynomials (plus branch, minus branch) for this k."""
     h = ode.half_difference()
-    p = _poly_sqrt(ode.under_root(k))
-    plus = _trim(npoly.polyadd(h, p))
-    minus = _trim(npoly.polysub(h, p))
-    return plus, minus
+    p = _poly_sqrt(*_under_root(ode, k))
+    return _axpy(h, 1.0, p), _axpy(h, -1.0, p)
 
 
-def _weight_from_tau(sigma, tau, s_anchor=(0.0, 0.5, 2.0, -0.5, 3.0)):
+def _weight_from_tau(sigma, tau):
     """Solve (sigma*rho)' = tau*rho in closed form for quadratic sigma.
 
     rho'/rho = (tau - sigma')/sigma decomposes by partial fractions.  Real
     root pairs give power-law factors; an irreducible quadratic gives a
-    |sigma|^c1 factor times exp(q * arctan(linear)).
+    |sigma|^c1 factor times exp(q * arctan(linear)).  rho = 1 at the first of
+    s = 0, 1/2, 2 that is no root of sigma.
     """
-    num = _trim(npoly.polysub(tau, npoly.polyder(sigma)))
+    num = _axpy(tau, -1.0, _der(sigma))
     if _degree(num) > 1:
         raise ValidationError("tau - sigma' must be linear for a Pearson weight")
-    s0c, s1c, s2c = (_coef(sigma, i) for i in range(3))
-    if abs(s2c) < 1e-14 * max(abs(s0c), abs(s1c), 1.0):
+    if _degree(sigma) < 2:
         raise ValidationError("weights for sigma of degree < 2 are not supported")
+    s0c, s1c, s2c = (_coef(sigma, i) for i in range(3))
 
     disc = s1c * s1c - 4.0 * s2c * s0c
-    scale = max(s1c * s1c, abs(4.0 * s2c * s0c), 1.0)
-    factors = []
-    arctan_coeff = 0.0
-    arctan_arg = (0.0, 1.0)
-    if disc > 1e-12 * scale:
+    if _negligible(disc, s1c * s1c, 4.0 * s2c * s0c):
+        raise ValidationError("sigma with a double root has no supported weight form")
+    if disc > 0.0:
         root = math.sqrt(disc)
         r1 = (-s1c - root) / (2.0 * s2c)
         r2 = (-s1c + root) / (2.0 * s2c)
-        e1 = npoly.polyval(r1, num) / (s2c * (r1 - r2))
-        e2 = npoly.polyval(r2, num) / (s2c * (r2 - r1))
-        factors = [((-r1, 1.0), float(e1)), ((-r2, 1.0), float(e2))]
-    elif disc < -1e-12 * scale:
+        e1 = (_coef(num, 0) + _coef(num, 1) * r1) / (s2c * (r1 - r2))
+        e2 = (_coef(num, 0) + _coef(num, 1) * r2) / (s2c * (r2 - r1))
+        desc = WeightDescriptor(factors=(((-r1, 1.0), e1), ((-r2, 1.0), e2)))
+        roots = (r1, r2)
+    else:
         c1 = _coef(num, 1) / (2.0 * s2c)
         c0 = _coef(num, 0) - c1 * s1c
         droot = math.sqrt(-disc)
-        factors = [(tuple(float(x) for x in (s0c, s1c, s2c)), float(c1))]
-        arctan_coeff = float(2.0 * c0 / droot)
-        arctan_arg = (float(s1c / droot), float(2.0 * s2c / droot))
-    else:
-        raise ValidationError("sigma with a double root has no supported weight form")
-
-    desc = WeightDescriptor(
-        factors=tuple(factors), arctan_coeff=arctan_coeff, arctan_arg=arctan_arg
+        desc = WeightDescriptor(
+            factors=(((s0c, s1c, s2c), c1),),
+            arctan_coeff=2.0 * c0 / droot,
+            arctan_arg=(s1c / droot, 2.0 * s2c / droot),
+        )
+        roots = ()
+    anchor = next(
+        s for s in (0.0, 0.5, 2.0) if not any(_negligible(s - r, s, r) for r in roots)
     )
-    for s_try in s_anchor:
-        vals = [npoly.polyval(s_try, f[0]) for f in desc.factors]
-        if all(abs(v) > 1e-9 for v in vals):
-            shift = float(desc.log_value(np.asarray(s_try)))
-            return WeightDescriptor(
-                factors=desc.factors,
-                arctan_coeff=desc.arctan_coeff,
-                arctan_arg=desc.arctan_arg,
-                log_scale=-shift,
-            )
-    return desc
+    return replace(desc, log_scale=-float(desc.log_value(np.asarray(anchor))))
 
 
 def _branch_reduction(ode: HypergeometricODE, k: float, sign: int, k_index: int):
-    h = ode.half_difference()
-    p = _poly_sqrt(ode.under_root(k))
-    pi = _trim(npoly.polyadd(h, p) if sign > 0 else npoly.polysub(h, p))
-    tau = _trim(npoly.polyadd(ode.tau_tilde, 2.0 * np.asarray(pi)))
-    lam = k + _coef(pi, 1)
-    weight = _weight_from_tau(ode.sigma, tau)
-    branch_id = f"k{k_index}{'+' if sign > 0 else '-'}"
+    p = _poly_sqrt(*_under_root(ode, k))
+    pi = _axpy(ode.half_difference(), float(sign), p)
+    tau = _axpy(ode.tau_tilde, 2.0, pi)
     return NUReduction(
         k=float(k),
         pi=pi,
         tau=tau,
-        level_lambda=float(lam),
-        weight=weight,
-        branch_id=branch_id,
+        level_lambda=k + _coef(pi, 1),
+        sigma=ode.sigma,
+        branch_id=f"k{k_index}{'+' if sign > 0 else '-'}",
         root_poly=p,
     )
 
@@ -339,7 +362,7 @@ def reduce(ode: HypergeometricODE, branch=None) -> NUReduction:
     seen_pis = []
     survivors = []
     k_list = [(0, ks[0])]
-    if abs(ks[1] - ks[0]) > 1e-12 * max(1.0, abs(ks[0])):
+    if not _negligible(ks[1] - ks[0], ks[1], ks[0]):
         k_list.append((1, ks[1]))
     for k_index, k in k_list:
         for sign in (1, -1):
@@ -349,7 +372,7 @@ def reduce(ode: HypergeometricODE, branch=None) -> NUReduction:
                 continue
             if any(
                 len(prev) == len(red.pi)
-                and all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(prev, red.pi))
+                and all(_negligible(a - b, a, b) for a, b in zip(prev, red.pi))
                 for prev in seen_pis
             ):
                 continue
@@ -377,12 +400,13 @@ def level_constant(reduction: NUReduction, ode: HypergeometricODE, n: int) -> fl
     return -n * reduction.tau_slope - 0.5 * n * (n - 1) * sigma_pp
 
 
-def solve_level(family, n: int, bracket, branch=None, tol=1e-12, max_iter=200) -> float:
+def solve_level(family, n: int, bracket, branch=None) -> float:
     """Bisect the quantization residual g(eps) = Lambda(eps) - Lambda_n(eps).
 
     ``family`` maps the spectral parameter eps to a HypergeometricODE.  The
     bracket must enclose exactly one sign change of g on a single reduction
-    branch; callers derive brackets from their closed forms.
+    branch; callers derive brackets from their closed forms.  Bisection stops
+    once the bracket is narrower than 1e-12 of its larger end.
     """
 
     def residual(eps):
@@ -403,9 +427,9 @@ def solve_level(family, n: int, bracket, branch=None, tol=1e-12, max_iter=200) -
         raise NoSignChangeError(
             f"no sign change on bracket [{lo}, {hi}]: g = ({g_lo:.3e}, {g_hi:.3e})"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= _BISECTION_STOP * max(abs(lo), abs(hi)):
             return mid
         g_mid = residual(mid)
         if g_mid == 0.0:
@@ -414,10 +438,10 @@ def solve_level(family, n: int, bracket, branch=None, tol=1e-12, max_iter=200) -
             hi = mid
         else:
             lo, g_lo = mid, g_mid
-    raise MaxIterationsError(f"bisection did not reach tol={tol} in {max_iter} steps")
+    raise MaxIterationsError("bisection did not narrow the bracket in 200 steps")
 
 
-def rodrigues_polynomial(sigma, tau, n: int) -> np.ndarray:
+def rodrigues_polynomial(sigma, tau, n: int) -> tuple:
     """Degree-n Rodrigues solution of sigma y'' + tau y' + Lambda_n y = 0.
 
     Evaluates (1/rho) d^n/ds^n [sigma^n rho] through the derivative recurrence
@@ -434,19 +458,15 @@ def rodrigues_polynomial(sigma, tau, n: int) -> np.ndarray:
         raise ValidationError(
             f"degree {n} exceeds the overflow guard ({MAX_RODRIGUES_DEGREE})"
         )
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    dsigma = npoly.polyder(sigma)
-    tms = npoly.polysub(tau, dsigma)
-    q = np.array([1.0])
+    sigma, tau = _trim(map(float, sigma)), _trim(map(float, tau))
+    dsigma = _der(sigma)
+    tms = _axpy(tau, -1.0, dsigma)
+    q = (1.0,)
     for m in range(n, 0, -1):
-        q = npoly.polyadd(
-            npoly.polymul(npoly.polyadd(m * dsigma, tms), q),
-            npoly.polymul(sigma, npoly.polyder(q)),
-        )
-    return np.asarray(npoly.polytrim(q, tol=0.0), dtype=float)
+        q = _axpy(_mul(_axpy(tms, m, dsigma), q), 1.0, _mul(sigma, _der(q)))
+    return q
 
 
-def rodrigues_coefficients(reduction: NUReduction, ode: HypergeometricODE, n: int) -> np.ndarray:
+def rodrigues_coefficients(reduction: NUReduction, ode: HypergeometricODE, n: int) -> tuple:
     """Rodrigues coefficients for the reduction's own weight and sigma."""
     return rodrigues_polynomial(ode.sigma, reduction.tau, n)

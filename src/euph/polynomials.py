@@ -69,11 +69,11 @@ class Romanovski:
 def _coefficients_cached(kind, p1, p2, n):
     if kind == "jacobi":
         sigma, tau = Jacobi(p1, p2).sigma_tau()
-        raw = rodrigues_polynomial(sigma, tau, n)
         # conventional normalization 1/((-2)^n n!) recovers textbook values
-        return tuple(raw / ((-2.0) ** n * math.factorial(n)))
+        scale = (-2.0) ** n * math.factorial(n)
+        return tuple(c / scale for c in rodrigues_polynomial(sigma, tau, n))
     sigma, tau = Romanovski(p1, p2).sigma_tau()
-    return tuple(rodrigues_polynomial(sigma, tau, n))
+    return rodrigues_polynomial(sigma, tau, n)
 
 
 def poly_coefficients(family, n: int) -> np.ndarray:

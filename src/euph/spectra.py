@@ -283,7 +283,7 @@ def _epsilon_closed(model: DeformationModel, l: int, n: int) -> float:
     return -model.tau * (n * n - a) - eta * eta / (4.0 * n * n)
 
 
-def energy_via_nu(model: DeformationModel, qn: QuantumNumbers, tol=1e-12) -> float:
+def energy_via_nu(model: DeformationModel, qn: QuantumNumbers) -> float:
     """Level energy recovered by root-finding on the reduction residual.
 
     Brackets are centered on the closed-form value (plus/minus 50 percent),
@@ -313,7 +313,6 @@ def energy_via_nu(model: DeformationModel, qn: QuantumNumbers, tol=1e-12) -> flo
         qn.n_r,
         (lo, hi),
         branch=hydrogen_branch(model, qn.n),
-        tol=tol,
     )
     return energy_of_epsilon(model, eps_root)
 

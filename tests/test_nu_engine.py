@@ -3,9 +3,12 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euph import nu_engine as nu
 from euph import spectra
+from euph import wavefunctions as wf
 from euph.errors import (
     AmbiguousBranchError,
     ComplexRootsError,
@@ -13,7 +16,7 @@ from euph.errors import (
     NoSignChangeError,
     ValidationError,
 )
-from euph.model import DeformationModel, QuantumNumbers
+from euph.model import HARTREE, SI, DeformationModel, QuantumNumbers
 
 
 def ds_ode(l, eta, eps):
@@ -79,9 +82,20 @@ class TestKCandidates:
             nu.k_candidates(ds_ode(0, 10.0, 0.5 + 0.25))
 
 
+def _level_eps(tau, l, n, eta):
+    """Quantized eps = -tau (n^2 - A) - eta^2 / (4 n^2)."""
+    return -tau * (n * n - (0.25 + (l + 0.5) ** 2)) - eta * eta / (4.0 * n * n)
+
+
+# eta = 2e9 is lam = 1e-18 a0^-2, where q2 = n^2 is ~1e-18 of q1^2 = eta^2
 class TestPiBranches:
-    def test_ds_hydrogen_branch_shapes(self):
-        l, eta, eps = 0, 2.0 / math.sqrt(0.1), -13.0
+    @pytest.mark.parametrize(
+        "eta, eps",
+        [(2.0 / math.sqrt(0.1), -13.0), (2e9, _level_eps(1, 0, 3, 2e9))],
+        ids=["eta6", "eta2e9"],
+    )
+    def test_ds_hydrogen_branch_shapes(self, eta, eps):
+        l = 0
         a = 0.25 + (l + 0.5) ** 2
         ode = ds_ode(l, eta, eps)
         k1, _ = nu.k_candidates(ode)
@@ -90,8 +104,11 @@ class TestPiBranches:
         assert plus == pytest.approx((-eta / (2 * delta), -0.5 + delta), rel=1e-10)
         assert minus == pytest.approx((eta / (2 * delta), -0.5 - delta), rel=1e-10)
 
-    def test_ads_hydrogen_branch_shapes(self):
-        l, eta, eps = 1, 20.0, -25.0
+    @pytest.mark.parametrize(
+        "eta, eps", [(20.0, -25.0), (2e9, _level_eps(-1, 1, 3, 2e9))], ids=["eta20", "eta2e9"]
+    )
+    def test_ads_hydrogen_branch_shapes(self, eta, eps):
+        l = 1
         a = 0.25 + (l + 0.5) ** 2
         ode = ads_ode(l, eta, eps)
         k1, _ = nu.k_candidates(ode)
@@ -249,6 +266,30 @@ class TestSolveLevel:
             nu.solve_level(lambda e: ads_ode(0, eta, e), 1, (-40.0, -35.0), branch=(0, -1))
 
 
+class TestPhysicalRange:
+    # lam runs from far below the spectroscopic bound (~3e-16 a0^-2) to 1 a0^-2
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log10_lam=st.floats(-18.0, 0.0),
+        tau=st.sampled_from([1, -1]),
+        units=st.sampled_from([HARTREE, SI]),
+        n=st.integers(1, 5),
+    )
+    def test_engine_matches_closed_form_and_states_build(self, log10_lam, tau, units, n):
+        lam = 10.0**log10_lam
+        if tau == 1 and not 1.0 / (n * math.sqrt(lam)) - n > 0.5:
+            return  # dS level above the bound-state threshold
+        model = DeformationModel(tau, lam / units.bohr_radius**2, units=units)
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            level = spectra.energy(model, qn)
+            # relative to the two terms of E: near the AdS ionization point E
+            # itself crosses zero
+            scale = abs(level.bohr_term) + abs(level.correction)
+            assert abs(spectra.energy_via_nu(model, qn) - level.energy) <= 1e-12 * scale
+            assert wf.build_state(model, qn).params.delta == n
+
+
 class TestRodrigues:
     def test_degree_zero(self):
         assert list(nu.rodrigues_polynomial((1.0, 0.0, -1.0), (0.0, -2.0), 0)) == [1.0]
@@ -265,6 +306,25 @@ class TestRodrigues:
         tau = (b - a, -(a + b + 2.0))
         coeffs = nu.rodrigues_polynomial((1.0, 0.0, -1.0), tau, 1)
         assert coeffs == pytest.approx([b - a, -(a + b + 2.0)])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ads", "ds"])
+    def test_equals_numpy_polynomial_recurrence(self, sign):
+        # the tuple arithmetic performs the same float operations as
+        # numpy.polynomial, so the coefficients agree bit for bit
+        sigma = np.array([1.0, 0.0, sign])
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            tau = tuple(rng.uniform(-1e3, 1e3, 2))
+            n = int(rng.integers(0, 12))
+            dsigma = npoly.polyder(sigma)
+            tms = npoly.polysub(tau, dsigma)
+            q = np.array([1.0])
+            for m in range(n, 0, -1):
+                q = npoly.polyadd(
+                    npoly.polymul(npoly.polyadd(m * dsigma, tms), q),
+                    npoly.polymul(sigma, npoly.polyder(q)),
+                )
+            assert nu.rodrigues_polynomial(tuple(sigma), tau, n) == tuple(q)
 
     def test_overflow_guard(self):
         with pytest.raises(ValidationError):
