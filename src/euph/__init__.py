@@ -5,6 +5,7 @@ Library layout:
 - ``model``: deformation algebra, unit systems, coordinate map, uncertainty floor
 - ``nu_engine``: generic reduction of hypergeometric-type ODEs (Nikiforov-Uvarov)
 - ``polynomials``: Jacobi / Romanovski evaluators and weighted inner products
+- ``integrate``: the one quadrature module (adaptive Gauss-Kronrod, Gauss rules)
 - ``spectra``: closed-form energies, critical and inversion deformations, bounds
 - ``wavefunctions``: radial eigenfunctions, nodes, normalization, spherical harmonics
 - ``oracle``: independent finite-difference eigensolver and commutator checks
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 # Re-exported from ``wavefunctions`` on first access (PEP 562), so importing
-# the package for the closed forms loads neither numpy nor scipy.
+# the package for the closed forms loads no numpy.
 _WAVEFUNCTION_NAMES = frozenset(
     {"RadialEigenstate", "build_state", "count_nodes", "psi_eval", "radial_eval"}
 )

@@ -8,8 +8,9 @@ so the core stays free of plotting dependencies.
 Exit codes: 0 success, 2 validation error, 3 numerical-convergence failure.
 
 The closed-form commands (spectrum, tables, figure1, figure2, bound) run on
-the standard library alone; only wavefunction and verify import the numpy
-and scipy modules, inside their command functions.
+the standard library alone; only wavefunction and verify import numpy,
+inside their command functions, and verify alone loads the oracle's LAPACK
+solver.
 """
 
 from __future__ import annotations

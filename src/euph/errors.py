@@ -66,7 +66,8 @@ class NonNormalizableError(EuphError):
 
 
 class ConvergenceError(EuphError):
-    """Numerical scheme did not show the expected convergence order."""
+    """Numerical scheme did not converge: a Richardson ratio off the expected
+    order, or a quadrature past its panel cap."""
 
 
 class NonIntegrableWarning(UserWarning):

@@ -32,17 +32,15 @@ class UnitSystem:
 
     ``e2`` is the squared charge in the Gaussian/Hartree convention, i.e. the
     energy*length product k_coulomb * q^2, so the Coulomb energy is -e2/r.
-    ``k_coulomb`` is kept for reporting; all formulas use ``e2``.
     """
 
     m: float = 1.0
     hbar: float = 1.0
     e2: float = 1.0
-    k_coulomb: float = 1.0
     name: str = "hartree"
 
     def __post_init__(self):
-        for attr in ("m", "hbar", "e2", "k_coulomb"):
+        for attr in ("m", "hbar", "e2"):
             if not getattr(self, attr) > 0.0:
                 raise ValidationError(f"unit constant {attr} must be positive")
 
@@ -67,7 +65,6 @@ SI = UnitSystem(
     m=_M_E,
     hbar=_HBAR,
     e2=_K_COULOMB * _E_CHARGE**2,
-    k_coulomb=_K_COULOMB,
     name="si",
 )
 
@@ -105,10 +102,6 @@ class DeformationModel:
     def cosmological_constant(self) -> float:
         """Gamma = 3*tau*lam."""
         return 3.0 * self.tau * self.lam
-
-    @property
-    def is_anti_desitter(self) -> bool:
-        return self.tau == -1
 
     def chi2(self, r):
         """Metric factor chi^2 = 1 + tau*lam*r^2 (array-safe)."""

@@ -16,17 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy import integrate
 
 from .errors import NonIntegrableWarning, ValidationError
+from .integrate import gauss_jacobi_u, quad
 from .nu_engine import MAX_RODRIGUES_DEGREE, rodrigues_polynomial
 
 __all__ = [
     "Jacobi",
     "Romanovski",
-    "eval_poly",
     "poly_coefficients",
-    "weight_value",
     "weighted_inner_product",
 ]
 
@@ -87,49 +85,26 @@ def poly_coefficients(family, n: int) -> np.ndarray:
     raise ValidationError(f"unknown polynomial family {family!r}")
 
 
-def eval_poly(family, n: int, s):
-    """Value of the degree-n family member at s (scalar or array)."""
-    return npoly.polyval(np.asarray(s, dtype=float), poly_coefficients(family, n))
-
-
-def weight_value(family, s):
-    s = np.asarray(s, dtype=float)
-    if isinstance(family, Jacobi):
-        return np.abs(1.0 - s) ** family.a * np.abs(1.0 + s) ** family.b
-    if isinstance(family, Romanovski):
-        return (1.0 + s * s) ** family.alpha * np.exp(family.beta * np.arctan(s))
-    raise ValidationError(f"unknown polynomial family {family!r}")
-
-
-def _divergent(family, n, m, interval):
+def _divergent(family, n, m):
     """Endpoint bookkeeping: True when y_n y_m rho is not integrable."""
-    lo, hi = interval
     if isinstance(family, Romanovski):
-        if np.isinf(lo) or np.isinf(hi):
-            # integrand ~ s^(n+m+2alpha) at infinity
-            if n + m + 2.0 * family.alpha >= -1.0:
-                return True
-        return False
-    checks = []
-    if math.isclose(lo, -1.0, abs_tol=1e-12):
-        checks.append(family.b)
-    if math.isclose(hi, 1.0, abs_tol=1e-12):
-        checks.append(family.a)
-    return any(expo <= -1.0 for expo in checks)
+        # integrand ~ s^(n+m+2alpha) at infinity
+        return n + m + 2.0 * family.alpha >= -1.0
+    return family.a <= -1.0 or family.b <= -1.0
 
 
-def weighted_inner_product(family, n: int, m: int, interval=None, tol=1e-10) -> float:
-    """Adaptive quadrature of y_n y_m rho over the interval.
+def weighted_inner_product(family, n: int, m: int) -> float:
+    """Integral of y_n y_m rho over (-1, 1) for Jacobi, the whole line for Romanovski.
 
-    Defaults: (-1, 1) for Jacobi, the whole line for Romanovski.  Divergent
+    Jacobi: exact, by the Gauss-Jacobi rule of the weight in u = (1+s)/2.
+    Romanovski: ``integrate.quad`` in theta = atan s, where the integrand is
+    y_n y_m cos(theta)^(-2 alpha - 2) exp(beta theta).  Divergent
     combinations are not integrated; they emit NonIntegrableWarning and
     return nan.
     """
-    if interval is None:
-        interval = (-1.0, 1.0) if isinstance(family, Jacobi) else (-np.inf, np.inf)
-    if _divergent(family, n, m, interval):
+    if _divergent(family, n, m):
         warnings.warn(
-            f"inner product <{n},{m}> diverges for {family!r} on {interval}",
+            f"inner product <{n},{m}> diverges for {family!r}",
             NonIntegrableWarning,
             stacklevel=2,
         )
@@ -137,11 +112,18 @@ def weighted_inner_product(family, n: int, m: int, interval=None, tol=1e-10) -> 
 
     cn = poly_coefficients(family, n)
     cm = poly_coefficients(family, m)
+    if isinstance(family, Jacobi):
+        a, b = family.a, family.b
+        u, w = gauss_jacobi_u((n + m) // 2 + 1, a, b)
+        s = 2.0 * u - 1.0
+        # mass of (1-s)^a (1+s)^b: 2^(a+b+1) B(a+1, b+1)
+        log_mass = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+        log_mass -= math.lgamma(a + b + 2.0)
+        return math.exp(log_mass) * float(np.dot(w, npoly.polyval(s, cn) * npoly.polyval(s, cm)))
 
-    def integrand(s):
-        return npoly.polyval(s, cn) * npoly.polyval(s, cm) * weight_value(family, s)
+    def integrand(theta):
+        s = np.tan(theta)
+        weight = np.cos(theta) ** (-2.0 * family.alpha - 2.0) * np.exp(family.beta * theta)
+        return npoly.polyval(s, cn) * npoly.polyval(s, cm) * weight
 
-    value, _ = integrate.quad(
-        integrand, interval[0], interval[1], epsabs=tol, epsrel=tol, limit=300
-    )
-    return float(value)
+    return quad(integrand, [-0.5 * math.pi, 0.0, 0.5 * math.pi])[0]

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy import integrate
 
-from . import spectra
+from . import integrate, spectra
 from .errors import DomainError, NonNormalizableError, NotAPerfectSquareError, ValidationError
 from .model import DeformationModel, QuantumNumbers
 from .polynomials import Jacobi, Romanovski, poly_coefficients
@@ -56,19 +55,12 @@ class RadialEigenstate:
     def energy(self) -> float:
         return self.level.energy
 
-    @property
-    def norm_constant(self) -> float:
-        """exp(-log_norm); may overflow or underflow to inf/0 for small lam."""
-        try:
-            return self.sign * math.exp(-self.log_norm)
-        except OverflowError:
-            return self.sign * math.inf
 
-
-def _log_radial_in_s(state: RadialEigenstate, s, s_minus_1=None, log_prefactor=0.0):
+def _log_radial_in_s(state: RadialEigenstate, s, log_t=None, log_prefactor=0.0):
     """(log|R| + log_prefactor, sign) of the unnormalized R factor at s.
 
-    dS callers pass the cancellation-free s - 1; AdS accepts any real s.
+    dS callers pass log_t = log((s-1)/(s+1)) formed without cancellation, used
+    where s < 3; AdS accepts any real s.
     Both envelopes are measured from the atom's end s -> inf, so no term of
     size eta*log(s) is formed: dS as (1/2 - delta) log(s+1) + A log t with
     t = (s-1)/(s+1), AdS as p log(1+s^2) - q atan2(1, s).
@@ -79,7 +71,7 @@ def _log_radial_in_s(state: RadialEigenstate, s, s_minus_1=None, log_prefactor=0
     if state.model.tau == 1:
         u = 2.0 / (s + 1.0)
         # the clip keeps log1p finite where the other branch is taken (u -> 1)
-        log_t = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(s_minus_1 / (s + 1.0)))
+        log_t = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), log_t)
         env = (0.5 - p.delta) * np.log(s + 1.0) + rate * log_t
     else:
         env = 0.5 * (0.5 - p.delta) * np.log1p(s * s) - rate * np.arctan2(1.0, s)
@@ -103,8 +95,8 @@ def _raw_log_and_sign(state: RadialEigenstate, r):
     chi = np.sqrt(model.chi2(r))
     sl = math.sqrt(model.lam)
     s = chi / (sl * r)
-    s_minus_1 = 1.0 / (sl * r * (chi + sl * r)) if model.tau == 1 else None
-    return _log_radial_in_s(state, s, s_minus_1, -0.5 * np.log(r))
+    log_t = np.log(1.0 / (sl * r * (chi + sl * r)) / (s + 1.0)) if model.tau == 1 else None
+    return _log_radial_in_s(state, s, log_t, -0.5 * np.log(r))
 
 
 def tail_exponent(model: DeformationModel, qn: QuantumNumbers) -> float:
@@ -161,26 +153,6 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
     )
 
 
-def _gauss_jacobi_u(m: int, alpha: float, beta: float):
-    """m-point Gauss rule for the weight u^beta (1-u)^alpha on [0, 1].
-
-    Golub-Welsch on the Jacobi recurrence shifted to u; every recurrence
-    entry is a sum of positive terms, so nodes near u = 0 keep their
-    relative accuracy.  Returns (nodes, weights) with weights summing to 1.
-    """
-    k = np.arange(m, dtype=float)
-    s = alpha + beta
-    t = 2.0 * k + s
-    diag = (2.0 * k * (k + s + 1.0) + s * (beta + 1.0)) / (t * (t + 2.0))
-    j, t = k[1:], t[1:]
-    off = np.sqrt(j * (j + alpha) * (j + beta) * (j + s) / (t * t * (t + 1.0) * (t - 1.0)))
-    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, vecs[0] ** 2
-
-
-_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
-
-
 def _normalize(
     model: DeformationModel, qn: QuantumNumbers, params: spectra.ScaledParameters, poly_coeffs
 ):
@@ -197,7 +169,7 @@ def _normalize(
     rate = _envelope_rate(model.tau, params)
     if model.tau == 1:
         alpha, beta = 2.0 * rate - 2.0, 2.0 * qn.l + 2.0
-        u, w = _gauss_jacobi_u(qn.n_r + 1, alpha, beta)
+        u, w = integrate.gauss_jacobi_u(qn.n_r + 1, alpha, beta)
         q = u**qn.n_r * npoly.polyval(2.0 / u - 1.0, coeffs)
         total = float(np.dot(w, (2.0 - u) * q * q))
         # log of 2^-(2+2 delta) times the weight's mass B(beta+1, alpha+1)
@@ -206,7 +178,7 @@ def _normalize(
         y_end = npoly.polyval(1.0, coeffs)
     else:
         hi = min(0.5 * math.pi, (60.0 + 4.0 * qn.n) / (2.0 * rate))
-        x, w = _LEGENDRE_64
+        x, w = integrate.LEGENDRE_64
         phi = 0.5 * hi * (x + 1.0)
         sin = np.sin(phi)
         z = sin**qn.n_r * npoly.polyval(np.cos(phi) / sin, coeffs)
@@ -300,49 +272,67 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
               "extended": AdS only, the operator measure continued through the
                           wall (integral over the whole real s line), in which
                           the closed forms are exactly orthogonal.
+
+    Each piece is one ``integrate.quad`` in a variable other than
+    build_state's u and phi: x = r/a0 on breakpoints (0.1, 1, 4, 16) n^2 up
+    to edge = min(60 n^2, R/2), R the AdS wall; the dS tail as
+    x = edge w^(-1/gamma), gamma = -(p_a + p_b + 3) with p the tail exponents
+    (one less for the operator measure's 1/chi ~ 1/r), bounded as w -> 0; the
+    AdS stretch as x = R (1 - v^2), smooth through the wall; for "extended",
+    the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
+    error goal from the core's size.
     """
     if state_a.model != state_b.model:
         raise ValidationError("states must share one deformation model")
     model = state_a.model
-
-    if measure == "extended":
-        if model.tau != -1:
-            raise ValidationError("the extended measure exists only for AdS")
-
-        def integrand_s(s):
-            la, sa = _log_radial_in_s(state_a, np.asarray([s]))
-            lb, sb = _log_radial_in_s(state_b, np.asarray([s]))
-            lg = la[0] + lb[0] - state_a.log_norm - state_b.log_norm
-            pref = state_a.sign * state_b.sign * sa[0] * sb[0]
-            return pref * math.exp(min(lg, 700.0)) * (1.0 + s * s) ** -1.5
-
-        val, _ = integrate.quad(
-            integrand_s, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-11, limit=400
-        )
-        return val / model.lam
-
-    if measure not in ("flat", "operator"):
+    if measure not in ("flat", "operator", "extended"):
         raise ValidationError(f"unknown measure {measure!r}")
+    if measure == "extended" and model.tau != -1:
+        raise ValidationError("the extended measure exists only for AdS")
+    log_norms = state_a.log_norm + state_b.log_norm
 
-    a0 = model.units.bohr_radius
+    def pair(s, log_t, log_weight):
+        la, sa = _log_radial_in_s(state_a, s, log_t)
+        lb, sb = (la, sa) if state_b is state_a else _log_radial_in_s(state_b, s, log_t)
+        return state_a.sign * state_b.sign * sa * sb * np.exp(la + lb + log_weight - log_norms)
 
-    def integrand(x):
-        r = a0 * x
-        v = radial_eval(state_a, r) * radial_eval(state_b, r) * r * r * a0
-        if measure == "operator":
-            v = v / math.sqrt(model.chi2(r))
-        return v
+    def in_r(s, log_t, log_r, log_jac, log_chi):
+        # psi_a psi_b r^2 dr = R_a R_b r dr, over chi outside the flat measure
+        return pair(s, log_t, log_r + log_jac - (0.0 if measure == "flat" else log_chi))
 
-    # breakpoints around the atom, in units of a0 and of the larger state's n^2
+    def at_radius(log_r, log_jac):
+        # from log r alone, so the dS tail may pass the float range:
+        # s^2 = tau + e with e = 1/(lam r^2), chi = s/sqrt(e)
+        log_e = -math.log(model.lam) - 2.0 * log_r
+        s = np.sqrt(model.tau + np.exp(log_e))
+        log_t = log_e - 2.0 * np.log(s + 1.0) if model.tau == 1 else None
+        return in_r(s, log_t, log_r, log_jac, np.log(s) - 0.5 * log_e)
+
+    a0, wall = model.units.bohr_radius, state_a.domain[1]
     n2 = max(state_a.qn.n, state_b.qn.n) ** 2
-    points = [n2 * f for f in (0.1, 1.0, 4.0, 16.0, 60.0)]
-    end = state_a.domain[1] / a0  # the AdS wall, or inf for dS
-    edge = min(points[-1], end)
-    val, _ = integrate.quad(
-        integrand, 0.0, edge, epsabs=1e-12, epsrel=1e-11, limit=400,
-        points=[x for x in points if x < edge],
-    )
-    if edge < end:
-        tail, _ = integrate.quad(integrand, edge, end, epsabs=1e-12, epsrel=1e-11, limit=400)
-        val += tail
+    edge = min(60.0 * n2, 0.5 * wall / a0)
+    points = [0.0] + [f * n2 for f in (0.1, 1.0, 4.0, 16.0) if f * n2 < edge] + [edge]
+    val = integrate.quad(lambda x: at_radius(np.log(a0 * x), math.log(a0)), points)[0]
+    if model.tau == 1:
+        p = tail_exponent(model, state_a.qn) + tail_exponent(model, state_b.qn)
+        gamma = -(p + 3.0) if measure == "flat" else -(p + 2.0)
+
+        def tail(w):
+            log_r = math.log(a0 * edge) - np.log(w) / gamma
+            return at_radius(log_r, log_r - np.log(gamma * w))
+
+        return val + integrate.quad(tail, [0.0, 1.0], scale=abs(val))[0]
+
+    def stretch(v):
+        u, chi = 1.0 - v * v, v * np.sqrt(2.0 - v * v)
+        return in_r(chi / u, None, np.log(wall * u), np.log(2.0 * wall * v), np.log(chi))
+
+    val += integrate.quad(stretch, [0.0, math.sqrt(1.0 - a0 * edge / wall)], scale=abs(val))[0]
+    if measure == "extended":
+
+        def beyond(w):  # R_a R_b r dr / chi = R_a R_b (1+s^2)^(-3/2) ds / lam
+            s = 1.0 - 1.0 / w
+            return pair(s, None, -1.5 * np.log1p(s * s) - 2.0 * np.log(w) - math.log(model.lam))
+
+        val += integrate.quad(beyond, [0.0, 1.0], scale=abs(val))[0]
     return val

@@ -157,6 +157,20 @@ def test_closed_form_commands_import_neither_numpy_nor_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_library_imports_no_scipy(tmp_path):
+    # only the finite-difference oracle needs scipy
+    script = textwrap.dedent("""
+        import sys
+        import euph.cli, euph.polynomials, euph.wavefunctions
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestTables:
     def test_values_and_erratum_cell(self, tmp_path):
         assert run(["tables", "--n-max", "5", "--output-dir", str(tmp_path)]) == 0

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from euph.errors import NonIntegrableWarning, ValidationError
-from euph.polynomials import (
-    Jacobi,
-    Romanovski,
-    eval_poly,
-    poly_coefficients,
-    weight_value,
-    weighted_inner_product,
-)
+from euph.polynomials import Jacobi, Romanovski, poly_coefficients, weighted_inner_product
+
+
+def poly_values(family, n, s):
+    return np.polynomial.polynomial.polyval(s, poly_coefficients(family, n))
 
 
 def jacobi_recurrence(n, a, b, x):
@@ -35,25 +32,25 @@ class TestEval:
     )
     def test_degree_zero_is_one(self, family):
         for s in (-2.0, 0.0, 0.7, 5.0):
-            assert eval_poly(family, 0, s) == 1.0
+            assert poly_values(family, 0, s) == 1.0
 
     def test_legendre_first_degree(self):
-        assert eval_poly(Jacobi(0.0, 0.0), 1, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert poly_values(Jacobi(0.0, 0.0), 1, 0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_romanovski_first_degree(self):
         # one differentiation of the weight: y_1 = 2(alpha+1) s + beta
-        assert eval_poly(Romanovski(-2.0, -2.0), 1, 1.0) == pytest.approx(-4.0, rel=1e-14)
+        assert poly_values(Romanovski(-2.0, -2.0), 1, 1.0) == pytest.approx(-4.0, rel=1e-14)
 
     def test_degenerate_jacobi_is_constant(self):
         family = Jacobi(-2.5, 0.5)  # a + b + 2 = 0 kills the slope
         for s in (-0.9, 0.0, 2.0):
-            assert eval_poly(family, 1, s) == pytest.approx(-1.5, rel=1e-13)
+            assert poly_values(family, 1, s) == pytest.approx(-1.5, rel=1e-13)
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.0, 2.0), (0.3, 1.7), (-0.4, 0.9)])
     def test_matches_classical_recurrence(self, a, b):
         for n in range(7):
             for x in (-0.8, -0.1, 0.4, 0.95):
-                assert eval_poly(Jacobi(a, b), n, x) == pytest.approx(
+                assert poly_values(Jacobi(a, b), n, x) == pytest.approx(
                     jacobi_recurrence(n, a, b, x), rel=1e-10, abs=1e-12
                 )
 
@@ -98,8 +95,8 @@ class TestInnerProducts:
         family = Jacobi(0.37, 0.37)
         s = np.linspace(-0.95, 0.95, 11)
         for n in range(7):
-            plus = eval_poly(family, n, s)
-            minus = eval_poly(family, n, -s)
+            plus = poly_values(family, n, s)
+            minus = poly_values(family, n, -s)
             scale = np.max(np.abs(plus))
             assert np.max(np.abs(minus - (-1.0) ** n * plus)) <= 1e-12 * max(scale, 1.0)
 
@@ -120,7 +117,8 @@ class TestInnerProducts:
         assert math.isnan(out)
 
     def test_weight_values(self):
-        assert weight_value(Jacobi(2.0, 3.0), 0.5) == pytest.approx(0.5**2 * 1.5**3)
-        assert weight_value(Romanovski(-1.0, 2.0), 1.0) == pytest.approx(
-            0.5 * math.exp(2.0 * math.atan(1.0))
+        # the degree-0 products are the masses of the weights
+        assert weighted_inner_product(Jacobi(2.0, 3.0), 0, 0) == pytest.approx(16.0 / 15.0)
+        assert weighted_inner_product(Romanovski(-1.0, 2.0), 0, 0) == pytest.approx(
+            math.sinh(math.pi)
         )

@@ -5,7 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import sph_harm_y
@@ -150,13 +150,18 @@ class TestNormalization:
                     continue
                 assert abs(0.5 * _mpmath_norm_offset(state)) <= 1e-12, (n, l)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         tau=st.sampled_from([1, -1]),
-        log10_lam=st.floats(-12.0, -1.0),
-        n=st.integers(1, 4),
+        log10_lam=st.floats(-24.0, 0.0),
+        n=st.integers(1, 5),
         l_frac=st.floats(0.0, 1.0, exclude_max=True),
     )
+    # dS (4,0) with tail exponent -1.64, a slow r^(-1.28) norm tail; AdS
+    # levels squeezed by the wall
+    @example(tau=1, log10_lam=math.log10(2.9e-3), n=4, l_frac=0.0)
+    @example(tau=-1, log10_lam=math.log10(0.097), n=4, l_frac=0.3)
+    @example(tau=-1, log10_lam=math.log10(0.05), n=3, l_frac=0.0)
     def test_si_equals_hartree(self, tau, log10_lam, n, l_frac):
         lam = 10.0**log10_lam
         qn = QuantumNumbers(n, int(l_frac * n))
