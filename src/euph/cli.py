@@ -299,6 +299,8 @@ def cmd_wavefunction(args) -> int:
 
     from . import wavefunctions
 
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     model = _model(args)
     qn = QuantumNumbers(n=args.n, l=args.l)
     state = wavefunctions.build_state(model, qn)

@@ -3,7 +3,8 @@
 The deformed Heisenberg algebra [X_i, P_j] = i*hbar*(delta_ij - tau*lambda*X_i*X_j)
 describes deSitter space for tau = +1 and anti-deSitter space for tau = -1.
 Everything downstream (spectra, wavefunctions, oracle) consumes the immutable
-value types defined here.
+value types defined here, computes in Hartree units on ``lam_au`` and converts
+to the model's units only in its public functions.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class DeformationModel:
             )
         if not math.isfinite(self.lam):
             raise ValidationError("deformation parameter must be finite")
+
+    @property
+    def lam_au(self) -> float:
+        """lam * a0^2: the deformation in Hartree units, the only form the numerics use."""
+        return self.lam * self.units.bohr_radius**2
 
     @property
     def ds_radius(self) -> float:

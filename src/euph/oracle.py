@@ -4,9 +4,13 @@ The radial problem is discretized as a symmetric generalized tridiagonal
 eigenproblem and solved with LAPACK; closed-form energies are never used in
 the discretization, so agreement is a genuine cross-check.
 
+Everything is solved in Hartree units (r in a0, lam_au = lam a0^2); only the
+public functions convert: lengths on the way in, energies (x E_h) and the
+commutator residual (x hbar) on the way out.
+
 dS (and optionally AdS) runs on the radial grid: the substitution
 u = sqrt(r*chi) R removes the first derivative and yields
-A u = kappa B u with B = diag(1/chi^2) and kappa = 2mE/hbar^2 - tau*lam/2.
+A u = kappa B u with B = diag(1/chi^2) and kappa = 2E - tau*lam/2.
 
 For AdS the default discretization works in the angle t = arctan s, the
 coordinate in which the radial equation stays regular at the wall chi = 0
@@ -27,7 +31,7 @@ serial loop, one finite-difference solve per (model, lambda, l) block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -48,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization request. r_min / r_max default to model-aware choices."""
+    """Discretization request; r_min / r_max, in the model's length unit, default per model."""
 
     n_points: int = 4000
     r_min: float = None
@@ -70,11 +74,9 @@ class OracleSpectrum:
     l: int
     eigenvalues: tuple  # energies, ascending
     eigenvectors: np.ndarray  # row k: grid samples of state k
-    grid: np.ndarray  # sample coordinates (radius, or angle for AdS natural)
-    coordinate: str  # "r" or "t"
+    coordinate: str  # "r" (radius) or "t" (AdS angle t = arctan s)
     convergence_estimate: tuple  # per-state Richardson ratios (nan if skipped)
     statuses: tuple  # per-state "converged" | "above-threshold"
-    kappas: tuple = field(default=())
 
     def node_counts(self, tol=1e-8):
         out = []
@@ -96,45 +98,27 @@ def _generalized_tridiag_eigh(diag_a, off_a, diag_b, count):
     return vals, u.T
 
 
-def _ds_effective_potential(model, l, r):
-    """Potential of the first-derivative-free radial form (u variable)."""
-    u = model.units
-    t, lam = model.tau, model.lam
-    chi2 = model.chi2(r)
-    chi = np.sqrt(chi2)
-    coul = 2.0 * u.m * u.e2 / u.hbar**2
-    return (
-        -l * (l + 1.0) * chi2 / r**2
-        + coul * chi / r
-        - t * lam / 2.0
-        + lam * (lam * r * r - 2.0 * t) / (4.0 * chi2)
-    )
-
-
-def _default_r_max(model, l, count):
-    a0 = model.units.bohr_radius
-    n_top = count + l
-    if model.tau == -1:
-        return model.wall_radius()
-    return max((4.0 * n_top * n_top + 20.0) * a0, 40.0 * a0)
-
-
 def _solve_radial_grid(model, l, count, n_points, r_min, r_max):
-    """Uniform-r symmetric discretization with Dirichlet ends."""
+    """Uniform-r symmetric discretization with Dirichlet ends; (energies, vectors)."""
+    t, lam = model.tau, model.lam_au
     h = r_max / (n_points + 1)
     i0 = max(1, int(math.ceil(r_min / h))) if r_min and r_min > h else 1
     idx = np.arange(i0, n_points + 1)
     r = idx * h
-    chi2 = model.chi2(r)
-    veff = _ds_effective_potential(model, l, r)
+    chi2 = 1.0 + t * lam * r * r
+    # potential of the first-derivative-free radial form (u variable)
+    veff = (
+        -l * (l + 1.0) * chi2 / r**2
+        + 2.0 * np.sqrt(chi2) / r
+        - t * lam / 2.0
+        + lam * (lam * r * r - 2.0 * t) / (4.0 * chi2)
+    )
     # A = -D2 - diag(Veff/chi^2), B = diag(1/chi^2)
     diag_a = 2.0 / h**2 - veff / chi2
     off_a = np.full(len(r) - 1, -1.0 / h**2)
     diag_b = 1.0 / chi2
     kappas, vecs = _generalized_tridiag_eigh(diag_a, off_a, diag_b, count)
-    u = model.units
-    energies = (u.hbar**2 / (2.0 * u.m)) * (kappas + model.tau * model.lam / 2.0)
-    return energies, vecs, r, kappas
+    return 0.5 * (kappas + t * lam / 2.0), vecs
 
 
 def _solve_ads_natural(model, l, count, n_points):
@@ -157,8 +141,7 @@ def _solve_ads_natural(model, l, count, n_points):
     off_a = -pf[1:-1] / h**2
     diag_b = c2
     eps, vecs = _generalized_tridiag_eigh(diag_a, off_a, diag_b, count)
-    energies = np.array([spectra.energy_of_epsilon(model, e) for e in eps])
-    return energies, vecs, centers, eps
+    return (model.lam_au / 2.0) * (eps + 0.5 * model.tau), vecs
 
 
 def fd_spectrum(
@@ -174,7 +157,7 @@ def fd_spectrum(
     ``richardson=True`` re-solves on doubled and quadrupled grids and stores
     the per-state error-reduction ratio (about 4 for a second-order scheme);
     ratios outside [2, 6] on trusted states raise ConvergenceError.  dS states
-    above the continuum threshold -e2*sqrt(lam) are flagged, not trusted.
+    above the continuum threshold -sqrt(lam_au) E_h are flagged, not trusted.
     """
     if count < 1 or count > 10:
         raise ValidationError("count must lie in [1, 10]")
@@ -183,59 +166,54 @@ def fd_spectrum(
     if ads_bc not in ("natural", "box"):
         raise ValidationError(f"unknown AdS boundary treatment {ads_bc!r}")
     grid = grid or GridSpec()
+    a0, lam = model.units.bohr_radius, model.lam_au
 
     # The arc-coordinate solve resolves the wall but spreads points over the
     # whole AdS domain; when the wall sits far outside the atom (tiny lam) the
     # states never feel it and the radial box is both valid and better
-    # conditioned, so dispatch on the wall-to-atom distance.
-    free_extent = (4.0 * (count + l) ** 2 + 20.0) * model.units.bohr_radius
-    use_tspace = (
-        model.tau == -1
-        and ads_bc == "natural"
-        and model.wall_radius() <= 2.0 * free_extent
-    )
+    # conditioned, so dispatch on the wall-to-atom distance.  Lengths in a0.
+    free_extent = 4.0 * (count + l) ** 2 + 20.0
+    wall = 1.0 / math.sqrt(lam)  # the AdS domain's end
+    use_tspace = model.tau == -1 and ads_bc == "natural" and wall <= 2.0 * free_extent
     if model.tau == -1 and not use_tspace and grid.r_max is not None:
         # B = diag(1/chi^2) is positive only strictly inside the wall
-        if grid.r_max >= model.wall_radius():
+        if grid.r_max / a0 >= wall:
             raise ValidationError(
                 f"an AdS radial grid needs r_max < wall radius {model.wall_radius():.6g}"
             )
-    if model.tau == -1 and not use_tspace and ads_bc == "natural":
-        r_max = grid.r_max or min(free_extent, model.wall_radius())
+    if grid.r_max:
+        r_max = grid.r_max / a0
+    elif model.tau == 1:
+        r_max = max(free_extent, 40.0)
     else:
-        r_max = grid.r_max or _default_r_max(model, l, count)
-    r_min = grid.r_min if grid.r_min is not None else 1e-6 * r_max
+        r_max = wall if ads_bc == "box" else free_extent
+    r_min = grid.r_min / a0 if grid.r_min is not None else 1e-6 * r_max
 
     def solve(n_points):
         if use_tspace:
             return _solve_ads_natural(model, l, count, n_points)
         return _solve_radial_grid(model, l, count, n_points, r_min, r_max)
 
-    energies, vecs, coords, kappas = solve(grid.n_points)
+    energies, vecs = solve(grid.n_points)
 
     ratios = [math.nan] * count
     if richardson:
-        e2x, _, _, _ = solve(2 * grid.n_points)
-        e4x, _, _, _ = solve(4 * grid.n_points)
+        e2x, e4x = solve(2 * grid.n_points)[0], solve(4 * grid.n_points)[0]
         for i in range(count):
             num = energies[i] - e2x[i]
             den = e2x[i] - e4x[i]
             floor = 1e-13 * max(1.0, abs(energies[i]))
             ratios[i] = 4.0 if abs(den) < floor else num / den
 
-    statuses = []
-    u = model.units
+    statuses = ["converged"] * count
     if model.tau == 1:
-        threshold = -u.e2 * math.sqrt(model.lam)
         # margin: a few box quanta, so states dissolving into the truncated
         # continuum are never reported as converged
-        spacing = (u.hbar**2 / (2.0 * u.m)) * (math.pi / r_max) ** 2
-        for e in energies:
-            statuses.append(
-                "converged" if e < threshold - 5.0 * spacing else "above-threshold"
-            )
-    else:
-        statuses = ["converged"] * count
+        spacing = 0.5 * (math.pi / r_max) ** 2
+        statuses = [
+            "converged" if e < -math.sqrt(lam) - 5.0 * spacing else "above-threshold"
+            for e in energies
+        ]
 
     if richardson:
         for i, (ratio, status) in enumerate(zip(ratios, statuses)):
@@ -244,16 +222,15 @@ def fd_spectrum(
                     f"state {i}: error-reduction ratio {ratio:.2f} is not second order"
                 )
 
+    e_h = model.units.hartree_energy
     return OracleSpectrum(
         model=model,
         l=l,
-        eigenvalues=tuple(float(e) for e in energies),
+        eigenvalues=tuple(float(e) * e_h for e in energies),
         eigenvectors=vecs,
-        grid=coords,
         coordinate="t" if use_tspace else "r",
         convergence_estimate=tuple(ratios),
         statuses=tuple(statuses),
-        kappas=tuple(float(k) for k in kappas),
     )
 
 
@@ -278,9 +255,10 @@ def commutator_residual(model: DeformationModel, test_function_id: str, grid: Gr
     """Grid residual of [X, P] f = i hbar (1 - tau lam X^2) f in 1-D.
 
     X = x/chi and P = -i hbar chi d/dx; derivatives use 8th-order central
-    stencils on a symmetric interval (clipped inside the AdS box).  The
-    identity holds exactly, so the result is the scheme's discretization
-    error, normalized by max|f|.
+    stencils on a symmetric interval, +-5 a0 by default (clipped inside the
+    AdS box), with the test functions Gaussians in x/a0.  The identity holds
+    exactly, so the result is the scheme's discretization error, normalized
+    by max|f|: an action, in units of hbar.
     """
     if test_function_id not in _TEST_FUNCTIONS:
         raise ValidationError(
@@ -288,19 +266,19 @@ def commutator_residual(model: DeformationModel, test_function_id: str, grid: Gr
             f"choose from {sorted(_TEST_FUNCTIONS)}"
         )
     grid = grid or GridSpec()
-    a0 = model.units.bohr_radius
-    half = grid.r_max if grid.r_max else 5.0 * a0
+    lam = model.lam_au
+    half = grid.r_max / model.units.bohr_radius if grid.r_max else 5.0
     if model.tau == -1:
-        half = min(half, 0.95 * model.wall_radius())
+        half = min(half, 0.95 * (1.0 / math.sqrt(lam)))
     n = grid.n_points
     x = np.linspace(-half, half, n)
     h = x[1] - x[0]
     f = _TEST_FUNCTIONS[test_function_id](x)
-    chi = np.sqrt(model.chi2(x))
+    chi = np.sqrt(1.0 + model.tau * lam * x * x)
 
     df = _d1(f, h)
     dg = _d1(x * f / chi, h)
-    resid = x * df - chi * dg + (1.0 - model.tau * model.lam * x * x / chi**2) * f
+    resid = x * df - chi * dg + (1.0 - model.tau * lam * x * x / chi**2) * f
     core = slice(8, -8)
     return float(model.units.hbar * np.max(np.abs(resid[core])) / np.max(np.abs(f)))
 
@@ -313,7 +291,7 @@ class CrosscheckReport:
     summary: dict
 
 
-def _crosscheck_cell_block(model, l, n_max, n_points):
+def _crosscheck_cell_block(model, l, n_max, n_points, threshold):
     rows = []
     count = n_max - l
     try:
@@ -324,8 +302,6 @@ def _crosscheck_cell_block(model, l, n_max, n_points):
             rows.append(_row(model, l, l + 1 + k, None, None, None, None, f"error: {exc}"))
         return rows
 
-    u = model.units
-    threshold = -u.e2 * math.sqrt(model.lam)
     for k in range(count):
         n = l + 1 + k
         qn = QuantumNumbers(n=n, l=l)
@@ -389,8 +365,10 @@ def crosscheck_report(
     for tau in (1, -1):
         for lam in lambdas:
             model = DeformationModel(tau=tau, lam=lam, units=units)
+            # the dS continuum threshold, in the closed-form energies' units
+            threshold = -math.sqrt(model.lam_au) * units.hartree_energy
             for l in range(n_max):
-                rows += _crosscheck_cell_block(model, l, n_max, n_points)
+                rows += _crosscheck_cell_block(model, l, n_max, n_points, threshold)
     rows = tuple(rows)
 
     def max_dev(model_name):

@@ -1,8 +1,8 @@
 """Closed-form bound-state energies of deformed hydrogen and derived tables.
 
-For deformation tau*lam the levels are
+For deformation tau*lam the levels are, in Hartree units on lam_au = lam a0^2,
 
-    E(n, l) = -m e2^2 / (2 hbar^2 n^2) - tau * (lam hbar^2 / 2m) * (n^2 - l(l+1) - 1)
+    E(n, l) / E_h = -1 / (2 n^2) - tau * (lam_au / 2) * (n^2 - l(l+1) - 1)
 
 so the n = 1 level is untouched, dS (tau = +1) binds levels deeper with
 growing lam, and AdS (tau = -1) lifts them until ionization.  The module also
@@ -11,7 +11,8 @@ the same energies are recovered by the reduction engine (an independent route
 used by the verification suite).
 
 The scaled spectral parameter used throughout is the constant term of the
-scaled ODE, eps = 2 m E / (lam hbar^2) - tau/2.
+scaled ODE, eps = 2 E / (lam_au E_h) - tau/2.  Everything is computed in
+Hartree units; a public function scales an energy by E_h only on its way out.
 """
 
 from __future__ import annotations
@@ -52,20 +53,18 @@ __all__ = [
 
 
 def scaled_eta(model: DeformationModel) -> float:
-    """Dimensionless Coulomb strength eta = 2 m e2 / (hbar^2 sqrt(lam))."""
-    u = model.units
-    return 2.0 * u.m * u.e2 / (u.hbar**2 * math.sqrt(model.lam))
+    """Dimensionless Coulomb strength eta = 2 / sqrt(lam_au)."""
+    return 2.0 / math.sqrt(model.lam_au)
 
 
 def epsilon_of_energy(model: DeformationModel, e: float) -> float:
-    """Scaled spectral parameter eps = 2 m E / (lam hbar^2) - tau/2."""
-    u = model.units
-    return 2.0 * u.m * e / (model.lam * u.hbar**2) - 0.5 * model.tau
+    """Scaled spectral parameter eps = 2 E / (lam_au E_h) - tau/2."""
+    return 2.0 * (e / model.units.hartree_energy) / model.lam_au - 0.5 * model.tau
 
 
 def energy_of_epsilon(model: DeformationModel, eps: float) -> float:
-    u = model.units
-    return (model.lam * u.hbar**2 / (2.0 * u.m)) * (eps + 0.5 * model.tau)
+    """E = E_h (lam_au / 2)(eps + tau/2), the inverse of epsilon_of_energy."""
+    return (model.lam_au / 2.0) * (eps + 0.5 * model.tau) * model.units.hartree_energy
 
 
 def _centrifugal(l: int) -> float:
@@ -116,10 +115,12 @@ def _shift_factor(qn: QuantumNumbers) -> int:
 
 def energy(model: DeformationModel, qn: QuantumNumbers) -> EnergyLevel:
     """Closed-form level energy; one signed formula covers dS and AdS."""
-    u = model.units
-    bohr = -u.m * u.e2**2 / (2.0 * u.hbar**2 * qn.n**2)
-    correction = -model.tau * (model.lam * u.hbar**2 / (2.0 * u.m)) * _shift_factor(qn)
-    return EnergyLevel(qn=qn, energy=bohr + correction, model=model, correction=correction)
+    bohr = -1.0 / (2.0 * qn.n**2)
+    correction = -model.tau * (model.lam_au / 2.0) * _shift_factor(qn)
+    e_h = model.units.hartree_energy
+    return EnergyLevel(
+        qn=qn, energy=(bohr + correction) * e_h, model=model, correction=correction * e_h
+    )
 
 
 def lambda_critical(qn: QuantumNumbers) -> float:
@@ -184,8 +185,8 @@ class TransitionRatio:
 
     ratio: float
     min_momentum: float
-    value_derived: float  # -3/4 - 3   * (hbar/(m e2))^2 * dP^2
-    value_convention: float  # -3/4 - 3/2 * (hbar/(m e2))^2 * dP^2
+    value_derived: float  # -3/4 - 3   * (a0 dP / hbar)^2
+    value_convention: float  # -3/4 - 3/2 * (a0 dP / hbar)^2
     coefficient_derived: float = 3.0
     coefficient_convention: float = 1.5
 
@@ -194,17 +195,15 @@ def transition_ratio(model: DeformationModel) -> TransitionRatio:
     """AdS 2s-1s transition ratio from raw energies plus closed forms."""
     if model.tau != -1:
         raise UnsupportedModelError("the transition-ratio bound applies to the AdS model")
-    u = model.units
     e1 = energy(model, QuantumNumbers(1, 0)).energy
     e2 = energy(model, QuantumNumbers(2, 0)).energy
     ratio = (e2 - e1) / e1
-    dp = u.hbar * math.sqrt(model.lam)
-    unit_shift = (u.hbar / (u.m * u.e2)) ** 2 * dp**2
+    dp = math.sqrt(model.lam_au)  # hbar sqrt(lam) in units of hbar/a0
     return TransitionRatio(
         ratio=ratio,
-        min_momentum=dp,
-        value_derived=-0.75 - 3.0 * unit_shift,
-        value_convention=-0.75 - 1.5 * unit_shift,
+        min_momentum=dp * model.units.hbar / model.units.bohr_radius,
+        value_derived=-0.75 - 3.0 * dp**2,
+        value_convention=-0.75 - 1.5 * dp**2,
     )
 
 
@@ -226,8 +225,8 @@ def spectroscopic_bound(precision: float, units: UnitSystem = HARTREE) -> Spectr
     shift: precision = C * (hbar/(m e2))^2 * dP_min^2 with C = 3/2 in the
     quoted convention and C = 3 as derived from the level shift.
     """
-    if precision < 0.0:
-        raise ValidationError("precision must be nonnegative")
+    if not 0.0 <= precision < math.inf:
+        raise ValidationError(f"precision must be nonnegative and finite, got {precision}")
     p_atomic = units.m * units.e2 / units.hbar  # hbar / bohr_radius
     dp_conv = math.sqrt(2.0 * precision / 3.0) * p_atomic
     dp_der = math.sqrt(precision / 3.0) * p_atomic

@@ -5,7 +5,9 @@ envelope(s) * polynomial(s) in the scaled variable s = chi/(sqrt(lam) r):
 a power-law pair |s-1|^A (s+1)^B with a Jacobi-type polynomial for dS, and
 (1+s^2)^p exp(q arctan s) with a Romanovski-type polynomial for AdS.  The
 envelope exponents grow like 1/sqrt(lam), so all evaluation runs in log
-space with the normalization constant folded into the exponent.
+space with the normalization constant folded into the exponent.  The module
+computes in Hartree units on lam_au = lam a0^2 (x = r/a0); only ``radial_eval``
+and ``RadialEigenstate.log_norm`` convert to the model's length unit.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ __all__ = [
 class RadialEigenstate:
     """An immutable quantized radial state.
 
-    ``log_norm`` makes radial_eval = sign * y(s) * exp(log_envelope - log_norm)
-    a unit-norm function under the flat measure int |psi|^2 r^2 dr over
-    ``domain`` (upper end inf for dS, the wall radius for AdS).
+    ``log_norm_au`` makes x^(-1/2) R = sign * y(s) * exp(log_envelope -
+    log_norm_au), x = r/a0, a unit-norm function under the flat measure
+    int |psi|^2 x^2 dx over ``domain`` (upper end inf for dS, the wall radius
+    for AdS; in the model's length unit).
     """
 
     model: DeformationModel
@@ -48,12 +51,17 @@ class RadialEigenstate:
     family: object
     poly_coeffs: tuple
     domain: tuple
-    log_norm: float
+    log_norm_au: float
     sign: float
 
     @property
     def energy(self) -> float:
         return self.level.energy
+
+    @property
+    def log_norm(self) -> float:
+        """The same constant for r in the model's length unit: log_norm_au + log a0."""
+        return self.log_norm_au + math.log(self.model.units.bohr_radius)
 
 
 def _log_radial_in_s(state: RadialEigenstate, s, log_t=None, log_prefactor=0.0):
@@ -86,17 +94,6 @@ def _envelope_rate(tau: int, p: spectra.ScaledParameters) -> float:
     if tau == 1:
         return 0.25 * (1.0 - 2.0 * p.delta + p.eta / p.delta)
     return p.eta / (2.0 * p.delta)
-
-
-def _raw_log_and_sign(state: RadialEigenstate, r):
-    """(log|value|, sign) of the unnormalized radial factor r^(-1/2) R."""
-    model = state.model
-    r = np.asarray(r, dtype=float)
-    chi = np.sqrt(model.chi2(r))
-    sl = math.sqrt(model.lam)
-    s = chi / (sl * r)
-    log_t = np.log(1.0 / (sl * r * (chi + sl * r)) / (s + 1.0)) if model.tau == 1 else None
-    return _log_radial_in_s(state, s, log_t, -0.5 * np.log(r))
 
 
 def tail_exponent(model: DeformationModel, qn: QuantumNumbers) -> float:
@@ -146,24 +143,24 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
 
     coeffs = tuple(float(c) for c in poly_coefficients(family, qn.n_r))
 
-    log_norm, sign = _normalize(model, qn, params, coeffs)
+    log_norm_au, sign = _normalize(model, qn, params, coeffs)
     return RadialEigenstate(
         model=model, qn=qn, level=level, params=params, family=family,
-        poly_coeffs=coeffs, domain=domain, log_norm=log_norm, sign=sign,
+        poly_coeffs=coeffs, domain=domain, log_norm_au=log_norm_au, sign=sign,
     )
 
 
 def _normalize(
     model: DeformationModel, qn: QuantumNumbers, params: spectra.ScaledParameters, poly_coeffs
 ):
-    """Flat-measure normalization by an exact Gauss rule; returns (log_norm, sign).
+    """Flat-measure normalization by an exact Gauss rule; returns (log_norm_au, sign).
 
-    N = int R^2 r dr is a known weight times a polynomial in the atom's own
-    variable.  dS, u = 2/(s+1): N = 2^-(2+2 delta)/lam int u^(2l+2) (1-u)^(2A-2)
-    (2-u) Q^2 du with Q = u^n_r y(2/u - 1), exact under n_r + 1 Gauss-Jacobi
-    nodes.  AdS, phi = atan(1/s): N = 1/lam int e^(-2 q phi) cos(phi)
-    sin(phi)^(2l+2) Z^2 dphi with Z = sin(phi)^n_r y(cot phi), by 64-point
-    Gauss-Legendre up to where e^(-2 q phi) has decayed.
+    N = int R^2 x dx (lam = lam_au) is a known weight times a polynomial in
+    the atom's own variable.  dS, u = 2/(s+1): N = 2^-(2+2 delta)/lam int
+    u^(2l+2) (1-u)^(2A-2) (2-u) Q^2 du with Q = u^n_r y(2/u - 1), exact under
+    n_r + 1 Gauss-Jacobi nodes.  AdS, phi = atan(1/s): N = 1/lam int
+    e^(-2 q phi) cos(phi) sin(phi)^(2l+2) Z^2 dphi with Z = sin(phi)^n_r
+    y(cot phi), by 64-point Gauss-Legendre up to where e^(-2 q phi) has decayed.
     """
     coeffs = np.asarray(poly_coeffs)
     rate = _envelope_rate(model.tau, params)
@@ -189,7 +186,7 @@ def _normalize(
         y_end = coeffs[0]
     if not (total > 0.0 and math.isfinite(total) and math.isfinite(shift)):
         raise NonNormalizableError("normalization sum is not positive and finite")
-    log_norm = 0.5 * (shift + math.log(total) - math.log(model.lam))
+    log_norm = 0.5 * (shift + math.log(total) - math.log(model.lam_au))
     # phase: positive toward the decaying end (dS tail s -> 1, AdS wall s -> 0)
     return log_norm, -1.0 if y_end < 0.0 else 1.0
 
@@ -197,18 +194,26 @@ def _normalize(
 def radial_eval(state: RadialEigenstate, r):
     """Radial factor r^(-1/2) R(r) of psi, flat-normalized.
 
+    r and the result are in the model's units (length and length^(-3/2)).
     Scalar in, scalar out; arrays are handled elementwise.  Raises
     DomainError outside the radial domain.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    model = state.model
     if np.any(arr <= 0.0):
         raise DomainError("radius must be positive")
-    if state.model.tau == -1 and np.any(arr >= state.domain[1]):
+    if model.tau == -1 and np.any(arr >= state.domain[1]):
         raise DomainError(f"radius must stay inside the wall r < {state.domain[1]}")
-    lg, sg = _raw_log_and_sign(state, arr)
-    vals = state.sign * sg * np.exp(lg - state.log_norm)
+    a0, lam = model.units.bohr_radius, model.lam_au
+    x = arr / a0
+    chi = np.sqrt(1.0 + model.tau * lam * x * x)
+    sl = math.sqrt(lam)
+    s = chi / (sl * x)
+    log_t = np.log(1.0 / (sl * x * (chi + sl * x)) / (s + 1.0)) if model.tau == 1 else None
+    lg, sg = _log_radial_in_s(state, s, log_t, -0.5 * np.log(x))
+    vals = state.sign * sg * np.exp(lg - state.log_norm_au) / a0**1.5
     return float(vals[0]) if scalar else vals
 
 
@@ -280,7 +285,9 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     (one less for the operator measure's 1/chi ~ 1/r), bounded as w -> 0; the
     AdS stretch as x = R (1 - v^2), smooth through the wall; for "extended",
     the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
-    error goal from the core's size.
+    error goal from the core's size.  The dS tail breaks at w = 2^(-k gamma),
+    the images of x = edge 2^k: near the bound-state threshold gamma -> 0 and
+    the core-to-tail transition lies in w in [1 - O(gamma), 1].
     """
     if state_a.model != state_b.model:
         raise ValidationError("states must share one deformation model")
@@ -289,7 +296,7 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
         raise ValidationError(f"unknown measure {measure!r}")
     if measure == "extended" and model.tau != -1:
         raise ValidationError("the extended measure exists only for AdS")
-    log_norms = state_a.log_norm + state_b.log_norm
+    log_norms, lam = state_a.log_norm_au + state_b.log_norm_au, model.lam_au
 
     def pair(s, log_t, log_weight):
         la, sa = _log_radial_in_s(state_a, s, log_t)
@@ -303,36 +310,39 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     def at_radius(log_r, log_jac):
         # from log r alone, so the dS tail may pass the float range:
         # s^2 = tau + e with e = 1/(lam r^2), chi = s/sqrt(e)
-        log_e = -math.log(model.lam) - 2.0 * log_r
+        log_e = -math.log(lam) - 2.0 * log_r
         s = np.sqrt(model.tau + np.exp(log_e))
         log_t = log_e - 2.0 * np.log(s + 1.0) if model.tau == 1 else None
         return in_r(s, log_t, log_r, log_jac, np.log(s) - 0.5 * log_e)
 
-    a0, wall = model.units.bohr_radius, state_a.domain[1]
+    wall = math.inf if model.tau == 1 else 1.0 / math.sqrt(lam)
     n2 = max(state_a.qn.n, state_b.qn.n) ** 2
-    edge = min(60.0 * n2, 0.5 * wall / a0)
+    edge = min(60.0 * n2, 0.5 * wall)
     points = [0.0] + [f * n2 for f in (0.1, 1.0, 4.0, 16.0) if f * n2 < edge] + [edge]
-    val = integrate.quad(lambda x: at_radius(np.log(a0 * x), math.log(a0)), points)[0]
+    val = integrate.quad(lambda x: at_radius(np.log(x), 0.0), points)[0]
     if model.tau == 1:
         p = tail_exponent(model, state_a.qn) + tail_exponent(model, state_b.qn)
         gamma = -(p + 3.0) if measure == "flat" else -(p + 2.0)
 
         def tail(w):
-            log_r = math.log(a0 * edge) - np.log(w) / gamma
+            log_r = math.log(edge) - np.log(w) / gamma
             return at_radius(log_r, log_r - np.log(gamma * w))
 
-        return val + integrate.quad(tail, [0.0, 1.0], scale=abs(val))[0]
+        # a subnormal cut would put quadrature nodes at w = 0
+        cuts = {2.0 ** (-k * gamma) for k in (1, 2, 3, 4, 6, 10, 20, 40)}
+        cuts = sorted({0.0, 1.0} | {w for w in cuts if w >= np.finfo(float).tiny})
+        return val + integrate.quad(tail, cuts, scale=abs(val))[0]
 
     def stretch(v):
         u, chi = 1.0 - v * v, v * np.sqrt(2.0 - v * v)
         return in_r(chi / u, None, np.log(wall * u), np.log(2.0 * wall * v), np.log(chi))
 
-    val += integrate.quad(stretch, [0.0, math.sqrt(1.0 - a0 * edge / wall)], scale=abs(val))[0]
+    val += integrate.quad(stretch, [0.0, math.sqrt(1.0 - edge / wall)], scale=abs(val))[0]
     if measure == "extended":
 
         def beyond(w):  # R_a R_b r dr / chi = R_a R_b (1+s^2)^(-3/2) ds / lam
             s = 1.0 - 1.0 / w
-            return pair(s, None, -1.5 * np.log1p(s * s) - 2.0 * np.log(w) - math.log(model.lam))
+            return pair(s, None, -1.5 * np.log1p(s * s) - 2.0 * np.log(w) - math.log(lam))
 
         val += integrate.quad(beyond, [0.0, 1.0], scale=abs(val))[0]
     return val

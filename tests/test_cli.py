@@ -255,6 +255,15 @@ class TestWavefunction:
         assert "nodes=1" in message
         assert "norm=1.00000" in message
 
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):
+        out = tmp_path / "x.csv"
+        code = run(["wavefunction", "--model", "ads", "--lambda", "0.01", "--n", "1",
+                    "--l", "0", "--samples", samples, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --samples")
+        assert not out.exists()
+
     def test_engine_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a failed reduction is a numerical failure rather than bad input
         from euph import spectra
@@ -331,3 +340,10 @@ class TestBound:
         assert dp_convention == pytest.approx(5.146e-32, rel=1e-3)
         assert dp_derived == pytest.approx(3.639e-32, rel=1e-3)
         assert "5.146e-32" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("precision", ["nan", "inf", "-inf", "-1e-15"])
+    def test_precision_not_finite_or_negative_exits_2(self, tmp_path, capsys, precision):
+        out = tmp_path / "bound.csv"
+        assert run(["bound", f"--precision={precision}", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: precision")
+        assert not out.exists()

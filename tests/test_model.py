@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euph.errors import DomainError, UnsupportedModelError, ValidationError
+from euph import oracle, spectra
+from euph import wavefunctions as wf
+from euph.errors import DomainError, EuphError, UnsupportedModelError, ValidationError
 from euph.model import (
     HARTREE,
     SI,
@@ -153,3 +155,57 @@ class TestMinMomentum:
     def test_si_units(self):
         m = DeformationModel(tau=-1, lam=1e20, units=SI)
         assert min_momentum_uncertainty(m) == pytest.approx(SI.hbar * 1e10, rel=1e-12)
+
+
+def _outcome(fn):
+    """fn(), or the type of the package error it raises."""
+    try:
+        return fn()
+    except EuphError as exc:
+        return type(exc)
+
+
+class TestUnitBoundary:
+    # The numerics see lam only as lam_au = lam a0^2, so an SI model and the
+    # Hartree model at the lam_au it forms take the same floating-point steps,
+    # and SI results differ from Hartree ones by the unit factor alone.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log10_lam_au=st.floats(-18.0, 0.0),
+        tau=st.sampled_from([1, -1]),
+        n=st.integers(1, 5),
+        l_frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_si_is_scaled_hartree(self, log10_lam_au, tau, n, l_frac):
+        a0, e_h = SI.bohr_radius, SI.hartree_energy
+        si = DeformationModel(tau, 10.0**log10_lam_au / a0**2, SI)
+        hartree = DeformationModel(tau, si.lam * a0**2)
+        qn = QuantumNumbers(n, int(l_frac * n))
+
+        def run(model):
+            energy = spectra.energy(model, qn).energy
+            via_nu = _outcome(lambda: spectra.energy_via_nu(model, qn))
+            state = _outcome(lambda: wf.build_state(model, qn))
+            if isinstance(state, type):
+                return energy, via_nu, state
+            norm = _outcome(lambda: wf.radial_overlap(state, state))
+            return energy, via_nu, norm, wf.count_nodes(state)
+
+        got, want = run(si), run(hartree)
+        for g, w in zip(got[:2], want[:2]):
+            if isinstance(w, float):
+                assert abs(g / e_h - w) <= 1e-15 * abs(w)
+            else:
+                assert g is w
+        assert got[2:] == want[2:]
+
+    def test_fd_spectrum_is_scaled_hartree(self):
+        a0 = SI.bohr_radius
+        si = DeformationModel(1, 1e-2 / a0**2, SI)
+        hartree = DeformationModel(1, si.lam * a0**2)
+        got = oracle.fd_spectrum(si, 0, 3, richardson=False)
+        want = oracle.fd_spectrum(hartree, 0, 3, richardson=False)
+        assert got.statuses == want.statuses
+        assert len(got.eigenvalues) == 3
+        for g, w in zip(got.eigenvalues, want.eigenvalues):
+            assert abs(g / SI.hartree_energy - w) <= 1e-15 * abs(w)

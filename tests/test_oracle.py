@@ -182,11 +182,11 @@ class TestConvergenceGuard:
 
         def degraded(model, l, count, n_points, r_min, r_max):
             # corrupt only the refined solves so the ratio leaves [2, 6]
-            energies, vecs, r, kappas = original(model, l, count, n_points, r_min, r_max)
+            energies, vecs = original(model, l, count, n_points, r_min, r_max)
             calls["i"] += 1
             if calls["i"] > 1:
                 energies = energies + 1e-3 * calls["i"]
-            return energies, vecs, r, kappas
+            return energies, vecs
 
         monkeypatch.setattr(oracle, "_solve_radial_grid", degraded)
         with pytest.raises(ConvergenceError):

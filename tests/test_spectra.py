@@ -177,9 +177,10 @@ class TestSpectroscopicBound:
         assert b.dp_min_convention == 0.0
         assert b.dp_min_derived == 0.0
 
-    def test_negative_rejected(self):
+    @pytest.mark.parametrize("precision", [-1e-15, math.nan, math.inf, -math.inf])
+    def test_negative_rejected(self, precision):
         with pytest.raises(ValidationError):
-            spectra.spectroscopic_bound(-1e-15, SI)
+            spectra.spectroscopic_bound(precision, SI)
 
 
 class TestInvariants:

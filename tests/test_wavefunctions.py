@@ -101,7 +101,9 @@ def _mpmath_norm_offset(state):
 
     R is rebuilt from the envelope definitions: |s-1|^A (s+1)^B y(s) for dS
     and (1+s^2)^p exp(-q atan(1/s)) y(s) for AdS.  The integrand is scaled by
-    exp(-2 log_norm) because mpmath's stopping rule is absolute.
+    exp(-2 log_norm) because mpmath's stopping rule is absolute.  Beyond
+    X = 60 n^2 the dS tail runs in w, r = X w^(-1/gamma), where the integrand
+    R^2 r ~ r^(-gamma-1) becomes bounded, however slowly it decays in r.
     """
     mp.mp.dps = 30
     model, qn, p = state.model, state.qn, state.params
@@ -121,7 +123,15 @@ def _mpmath_norm_offset(state):
             env = s_minus_1 ** (2 * a_exp) * (s + 1) ** (2 * b_exp)
             return scale * env * mp.polyval(coeffs, s) ** 2 * r
 
-        edges = [qn.n**2 * b for b in _ATOM_BREAKPOINTS] + [mp.inf]
+        edge = 60 * qn.n**2
+        gamma = -(2 * (qn.n - 1 - eta / (2 * qn.n)) + 3)
+
+        def tail(w):
+            r = edge * w ** (-1 / gamma)
+            return integrand(r) * r / (gamma * w)
+
+        edges = [qn.n**2 * b for b in _ATOM_BREAKPOINTS]
+        beyond = mp.quad(tail, [0, 1])
     else:
         q = eta / (2 * d)
 
@@ -133,11 +143,12 @@ def _mpmath_norm_offset(state):
 
         wall = 1 / sl
         edges = [qn.n**2 * b for b in _ATOM_BREAKPOINTS if qn.n**2 * b < wall] + [wall]
-    return float(mp.log(mp.quad(integrand, [0] + edges)))
+        beyond = 0
+    return float(mp.log(mp.quad(integrand, [0] + edges) + beyond))
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("lam", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.parametrize("lam", [1e-2, 2.9e-3, 1e-6, 1e-10])
     @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
     def test_log_norm_matches_mpmath(self, tau, lam):
         model = DeformationModel(tau, lam)
@@ -162,6 +173,14 @@ class TestNormalization:
     @example(tau=1, log10_lam=math.log10(2.9e-3), n=4, l_frac=0.0)
     @example(tau=-1, log10_lam=math.log10(0.097), n=4, l_frac=0.3)
     @example(tau=-1, log10_lam=math.log10(0.05), n=3, l_frac=0.0)
+    # dS s states a relative 3e-5 (n = 1) and 1e-5 (n = 5) below the
+    # threshold lam = 1/(n^2 (n + 1/2)^2), where the norm's tail reaches far
+    # out.  Both lam survive the SI round trip (lam / a0^2) a0^2 exactly (the
+    # n = 1 value is math.log10((1 - 3e-5) / 2.25) moved up by one ulp): this
+    # close to the threshold the exact log_norm moves by about 2e-12 per ulp
+    # of lam, more than the log_norm bound below.
+    @example(tau=1, log10_lam=-0.35219554714125595, n=1, l_frac=0.0)
+    @example(tau=1, log10_lam=math.log10((1.0 - 1e-5) / 756.25), n=5, l_frac=0.0)
     def test_si_equals_hartree(self, tau, log10_lam, n, l_frac):
         lam = 10.0**log10_lam
         qn = QuantumNumbers(n, int(l_frac * n))
