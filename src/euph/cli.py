@@ -28,7 +28,6 @@ from .errors import (
     EuphError,
     MaxIterationsError,
     NonNormalizableError,
-    NoSignChangeError,
     ValidationError,
 )
 from .model import HARTREE, SI, DeformationModel, QuantumNumbers, uncertainty_floor
@@ -153,6 +152,8 @@ def _emit_plot_script(script_path, name, data_path):
 
 
 def cmd_spectrum(args) -> int:
+    if args.n_max < 1:
+        raise ValidationError(f"--n-max must be at least 1, got {args.n_max}")
     model = _model(args)
     rows = []
     for n in range(1, args.n_max + 1):
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError, NonNormalizableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NoSignChangeError, MaxIterationsError) as exc:
+    except (ConvergenceError, MaxIterationsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except EuphError as exc:

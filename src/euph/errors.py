@@ -42,19 +42,7 @@ class NotAPerfectSquareError(EuphError):
 
 
 class NoBoundBranchError(EuphError):
-    """No reduction branch has a decreasing linear coefficient tau."""
-
-
-class AmbiguousBranchError(EuphError):
-    """More than one reduction branch satisfies the bound-state criterion."""
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
-
-
-class NoSignChangeError(EuphError):
-    """Root bracket does not enclose a sign change."""
+    """No reduction branch is regular at s -> inf (complex indicial exponents)."""
 
 
 class MaxIterationsError(EuphError):

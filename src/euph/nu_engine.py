@@ -15,6 +15,11 @@ where Lambda matches the level constant  Lambda_n = -n tau' - n(n-1) sigma''/2,
 and are generated by the Rodrigues relation with the Pearson weight rho
 solving (sigma*rho)' = tau*rho.
 
+One rule chooses the branch: the degree-n solution must be regular at
+s -> inf (the indicial exponent at infinity, Bender & Orszag 1978, ch. 3).
+It fixes k and the sign from the ODE's leading coefficients alone; a level
+is then an ODE at which the under-root quadratic for that k is a square.
+
 Polynomial coefficients are stored ascending, as tuples of floats.
 """
 
@@ -28,11 +33,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import (
-    AmbiguousBranchError,
     ComplexRootsError,
     MaxIterationsError,
     NoBoundBranchError,
-    NoSignChangeError,
     NotAPerfectSquareError,
     ValidationError,
 )
@@ -52,7 +55,7 @@ __all__ = [
 
 MAX_RODRIGUES_DEGREE = 64
 _NEGLIGIBLE = 1e-13  # relative size below which a sum has cancelled to zero
-_BISECTION_STOP = 1e-12  # relative bracket width at which solve_level stops
+_SECANT_STEPS = 8  # cap on solve_level's secant steps
 
 
 def _negligible(x, *terms) -> bool:
@@ -200,7 +203,6 @@ class NUReduction:
     tau: tuple
     level_lambda: float  # Lambda = k + pi'
     sigma: tuple
-    branch_id: str
     root_poly: tuple = field(default=())  # linear sqrt of the under-root quadratic
 
     @property
@@ -330,7 +332,37 @@ def _weight_from_tau(sigma, tau):
     return replace(desc, log_scale=-float(desc.log_value(np.asarray(anchor))))
 
 
-def _branch_reduction(ode: HypergeometricODE, k: float, sign: int, k_index: int):
+def _regular_branch(ode: HypergeometricODE, n: int):
+    """(k, sign) of the branch whose degree-n solution is regular at s -> inf.
+
+    There psi ~ s^rho, rho a root of the indicial polynomial
+    I(rho) = rho^2 + (tau_tilde_1/sigma_2 - 1) rho + sigma_tilde_2/sigma_2^2,
+    and every branch has sigma_2 I(n + pi_1/sigma_2) = Lambda - Lambda_n.  The
+    regular solution takes the smaller root rho_-, so pi_1 = sigma_2 (rho_- - n);
+    the sign of pi_1 - h_1 is the branch sign, and the s^2 coefficient of
+    (pi - h)^2 = h^2 - sigma_tilde + k sigma fixes k.
+    """
+    if n < 0:
+        raise ValidationError("level index must be nonnegative")
+    s2 = _coef(ode.sigma, 2)
+    if s2 == 0.0:
+        raise ValidationError("the regularity rule needs a quadratic sigma")
+    b = _coef(ode.tau_tilde, 1) / s2 - 1.0
+    c = _coef(ode.sigma_tilde, 2) / (s2 * s2)
+    disc = b * b - 4.0 * c
+    if disc < 0.0 and not _negligible(disc, b * b, 4.0 * c):
+        raise NoBoundBranchError(
+            "complex indicial exponents at s -> inf: no branch is regular there"
+        )
+    rho = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))  # stable roots
+    rho = min(rho, c / rho) if rho != 0.0 else 0.0
+    h1 = _coef(ode.half_difference(), 1)
+    d = s2 * (rho - n) - h1  # pi_1 - h_1
+    k = (d * d - h1 * h1 + _coef(ode.sigma_tilde, 2)) / s2
+    return k, (1 if d >= 0.0 else -1)
+
+
+def _branch_reduction(ode: HypergeometricODE, k: float, sign: int):
     p = _poly_sqrt(*_under_root(ode, k))
     pi = _axpy(ode.half_difference(), float(sign), p)
     tau = _axpy(ode.tau_tilde, 2.0, pi)
@@ -340,56 +372,17 @@ def _branch_reduction(ode: HypergeometricODE, k: float, sign: int, k_index: int)
         tau=tau,
         level_lambda=k + _coef(pi, 1),
         sigma=ode.sigma,
-        branch_id=f"k{k_index}{'+' if sign > 0 else '-'}",
         root_poly=p,
     )
 
 
-def reduce(ode: HypergeometricODE, branch=None) -> NUReduction:
-    """Reduce the ODE, selecting a branch.
+def reduce(ode: HypergeometricODE, n: int) -> NUReduction:
+    """Reduce the ODE on the branch whose degree-n solution is regular at s -> inf.
 
-    With ``branch=(k_index, sign)`` the stated combination is built directly
-    (k_index 0 is the larger k root).  Without it, all real (k, sign)
-    combinations are enumerated and the unique one with decreasing tau
-    (tau' < 0, the bound-state criterion) is returned; zero or multiple
-    matches raise NoBoundBranchError / AmbiguousBranchError.
+    Raises NotAPerfectSquareError when the ODE is not at a level of that
+    branch, and NoBoundBranchError when no branch is regular at infinity.
     """
-    ks = k_candidates(ode)
-    if branch is not None:
-        k_index, sign = branch
-        return _branch_reduction(ode, ks[k_index], sign, k_index)
-
-    seen_pis = []
-    survivors = []
-    k_list = [(0, ks[0])]
-    if not _negligible(ks[1] - ks[0], ks[1], ks[0]):
-        k_list.append((1, ks[1]))
-    for k_index, k in k_list:
-        for sign in (1, -1):
-            try:
-                red = _branch_reduction(ode, k, sign, k_index)
-            except NotAPerfectSquareError:
-                continue
-            if any(
-                len(prev) == len(red.pi)
-                and all(_negligible(a - b, a, b) for a, b in zip(prev, red.pi))
-                for prev in seen_pis
-            ):
-                continue
-            seen_pis.append(red.pi)
-            survivors.append(red)
-
-    negatives = [r for r in survivors if r.tau_slope < 0.0]
-    if not negatives:
-        raise NoBoundBranchError(
-            "no real reduction branch has tau' < 0; no bound-state family here"
-        )
-    if len(negatives) > 1:
-        raise AmbiguousBranchError(
-            "multiple branches satisfy tau' < 0; pass branch=(k_index, sign) explicitly",
-            candidates=[r.branch_id for r in negatives],
-        )
-    return negatives[0]
+    return _branch_reduction(ode, *_regular_branch(ode, n))
 
 
 def level_constant(reduction: NUReduction, ode: HypergeometricODE, n: int) -> float:
@@ -400,45 +393,35 @@ def level_constant(reduction: NUReduction, ode: HypergeometricODE, n: int) -> fl
     return -n * reduction.tau_slope - 0.5 * n * (n - 1) * sigma_pp
 
 
-def solve_level(family, n: int, bracket, branch=None) -> float:
-    """Bisect the quantization residual g(eps) = Lambda(eps) - Lambda_n(eps).
+def solve_level(family, n: int, start: float, step: float) -> float:
+    """Spectral parameter eps at which ``family(eps)`` has its degree-n level.
 
-    ``family`` maps the spectral parameter eps to a HypergeometricODE.  The
-    bracket must enclose exactly one sign change of g on a single reduction
-    branch; callers derive brackets from their closed forms.  Bisection stops
-    once the bracket is narrower than 1e-12 of its larger end.
+    ``family`` maps eps to a HypergeometricODE.  On the regular branch the
+    level is the zero of D(eps) = q1^2 - 4 q2 q0, the discriminant of the
+    under-root quadratic at the branch's k.  The secant method runs from
+    ``start`` and ``start + step`` and stops once a step is negligible
+    against the iterate and ``step``; ``reduce`` then checks the square.
     """
 
-    def residual(eps):
+    def discriminant(eps):
         ode = family(eps)
-        red = reduce(ode, branch=branch)
-        return red.level_lambda - level_constant(red, ode, n)
+        q = _under_root(ode, _regular_branch(ode, n)[0])[0]
+        q0, q1, q2 = (_coef(q, i) for i in range(3))
+        return q1 * q1 - 4.0 * q2 * q0
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValidationError("bracket must satisfy lo < hi")
-    g_lo = residual(lo)
-    g_hi = residual(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
-        raise NoSignChangeError(
-            f"no sign change on bracket [{lo}, {hi}]: g = ({g_lo:.3e}, {g_hi:.3e})"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECTION_STOP * max(abs(lo), abs(hi)):
-            return mid
-        g_mid = residual(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    raise MaxIterationsError("bisection did not narrow the bracket in 200 steps")
+    x0, x1 = float(start), float(start) + float(step)
+    d0 = discriminant(x0)
+    for _ in range(_SECANT_STEPS):
+        d1 = discriminant(x1)
+        if d1 == 0.0 or d1 == d0:  # a root, or no slope: left to the check
+            break
+        x0, x1, d0 = x1, x1 - d1 * (x1 - x0) / (d1 - d0), d1
+        if _negligible(x1 - x0, x1, step):
+            break
+    else:
+        raise MaxIterationsError(f"the secant found no level in {_SECANT_STEPS} steps")
+    reduce(family(x1), n)
+    return x1
 
 
 def rodrigues_polynomial(sigma, tau, n: int) -> tuple:

@@ -46,7 +46,6 @@ __all__ = [
     "transition_ratio",
     "spectroscopic_bound",
     "hydrogen_ode",
-    "hydrogen_branch",
     "energy_via_nu",
     "reduce_level",
 ]
@@ -261,20 +260,6 @@ def hydrogen_ode(model: DeformationModel, l: int, eps: float) -> nu.Hypergeometr
     )
 
 
-def hydrogen_branch(model: DeformationModel, n: int):
-    """Reduction branch carrying the physical bound states.
-
-    dS uses the plus sign; the larger k root while n^2 <= eta/2, the smaller
-    one beyond (the two roots exchange the physical delta there).  AdS always
-    uses the larger k root with the minus sign (the smaller root has no real
-    branch).
-    """
-    if model.tau == 1:
-        k_index = 0 if n * n <= 0.5 * scaled_eta(model) else 1
-        return (k_index, +1)
-    return (0, -1)
-
-
 def _epsilon_closed(model: DeformationModel, l: int, n: int) -> float:
     """Quantized eps written through delta = n: eps = -tau(n^2 - A) - eta^2/(4n^2)."""
     a = _centrifugal(l)
@@ -283,44 +268,31 @@ def _epsilon_closed(model: DeformationModel, l: int, n: int) -> float:
 
 
 def energy_via_nu(model: DeformationModel, qn: QuantumNumbers) -> float:
-    """Level energy recovered by root-finding on the reduction residual.
+    """Level energy from the reduction engine alone, with no closed-form input.
 
-    Brackets are centered on the closed-form value (plus/minus 50 percent),
-    clipped away from the sibling residual root at delta = n_r - l and, for
-    dS, from the edge where the k roots turn complex.
+    Regularity at the origin (s -> inf) picks the branch, and the secant
+    method finds the level from the Bohr value eps = -eta^2/(4n^2) with step
+    n^2 (``nu_engine.solve_level``).
     """
     from . import nu_engine as nu
 
-    eps_star = _epsilon_closed(model, qn.l, qn.n)
-    width = 0.5 * abs(eps_star)
-    lo, hi = eps_star - width, eps_star + width
-
-    spurious = qn.n_r - qn.l
-    if spurious >= 1:
-        eps_sp = _epsilon_closed(model, qn.l, spurious)
-        if lo < eps_sp < eps_star:
-            lo = 0.5 * (eps_sp + eps_star)
-        elif eps_star < eps_sp < hi:
-            hi = 0.5 * (eps_sp + eps_star)
-
-    if model.tau == 1:
-        edge = _centrifugal(qn.l) - scaled_eta(model)
-        hi = min(hi, edge - 1e-9 * max(1.0, abs(edge)))
-
-    eps_root = nu.solve_level(
+    eta = scaled_eta(model)
+    eps = nu.solve_level(
         lambda e: hydrogen_ode(model, qn.l, e),
         qn.n_r,
-        (lo, hi),
-        branch=hydrogen_branch(model, qn.n),
+        -eta * eta / (4.0 * qn.n * qn.n),
+        qn.n * qn.n,
     )
-    return energy_of_epsilon(model, eps_root)
+    return energy_of_epsilon(model, eps)
 
 
 def reduce_level(model: DeformationModel, qn: QuantumNumbers) -> nu.NUReduction:
-    """Reduction of the scaled ODE at the quantized spectral parameter."""
+    """Reduction of the scaled ODE at the closed-form spectral parameter.
+
+    Raises NotAPerfectSquareError when the closed form is not a level of the
+    regular branch.
+    """
     from . import nu_engine as nu
 
     eps = _epsilon_closed(model, qn.l, qn.n)
-    return nu.reduce(
-        hydrogen_ode(model, qn.l, eps), branch=hydrogen_branch(model, qn.n)
-    )
+    return nu.reduce(hydrogen_ode(model, qn.l, eps), qn.n_r)

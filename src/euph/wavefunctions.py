@@ -19,7 +19,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import integrate, spectra
-from .errors import DomainError, NonNormalizableError, NotAPerfectSquareError, ValidationError
+from .errors import DomainError, NonNormalizableError, ValidationError
 from .model import DeformationModel, QuantumNumbers
 from .polynomials import Jacobi, Romanovski, poly_coefficients
 
@@ -115,13 +115,7 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
     level = spectra.energy(model, qn)
     params = spectra.ScaledParameters.for_level(model, qn)
 
-    red = spectra.reduce_level(model, qn)
-    if len(red.root_poly) < 2:
-        raise NotAPerfectSquareError(
-            f"reduction engine found no linear branch root for (n={qn.n}, l={qn.l}) "
-            f"at lam={model.lam}"
-        )
-    delta_engine = abs(red.root_poly[1])
+    delta_engine = abs(spectra.reduce_level(model, qn).root_poly[1])
     if abs(delta_engine - qn.n) > 1e-9 * qn.n:
         raise ValidationError(
             f"branch root mismatch: quantized delta = n = {qn.n}, "

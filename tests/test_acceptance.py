@@ -160,7 +160,7 @@ def test_criterion_07_rodrigues_property_suite():
         model = DeformationModel(tau, lam)
         eps = spectra._epsilon_closed(model, l, n)
         ode = spectra.hydrogen_ode(model, l, eps)
-        red = nu.reduce(ode, branch=spectra.hydrogen_branch(model, n))
+        red = nu.reduce(ode, n - l - 1)
         cases.append((tau, ode, red))
     import numpy.polynomial.polynomial as npoly
 

@@ -54,6 +54,15 @@ class TestSpectrum:
         assert code == 2
         assert "Bohr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", ["-1", "0"])
+    def test_n_max_below_one_exits_2(self, tmp_path, capsys, n_max):
+        out = tmp_path / "x.csv"
+        code = run(["spectrum", "--model", "ads", "--lambda", "0.01",
+                    "--n-max", n_max, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --n-max")
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self):
         assert run(["spectrum", "--model", "ads", "--nope", "1"]) == 2
 

@@ -10,10 +10,10 @@ from euph import nu_engine as nu
 from euph import spectra
 from euph import wavefunctions as wf
 from euph.errors import (
-    AmbiguousBranchError,
     ComplexRootsError,
+    EuphError,
+    MaxIterationsError,
     NoBoundBranchError,
-    NoSignChangeError,
     ValidationError,
 )
 from euph.model import HARTREE, SI, DeformationModel, QuantumNumbers
@@ -149,38 +149,24 @@ class TestReduce:
         assert red.tau == pytest.approx((-eta / delta, 2.0 * (delta - 1.0)), rel=1e-10)
 
     def test_ads_auto_selection(self):
-        # away from the smallest level the minus branch is the unique tau' < 0
+        # regularity at s -> inf picks the minus branch of the n_r = 1 level
         model = DeformationModel(tau=-1, lam=0.01)
         eta = spectra.scaled_eta(model)
         ode = ads_ode(0, eta, -21.5)
-        red = nu.reduce(ode)
-        assert red.branch_id == "k0-"
+        red = nu.reduce(ode, 1)
         delta = 2.0
         assert red.tau == pytest.approx((eta / delta, 2.0 * (1.0 - delta)), rel=1e-10)
 
-    def test_ads_k2_has_no_real_branch(self):
-        model = DeformationModel(tau=-1, lam=0.01)
-        eta = spectra.scaled_eta(model)
-        ode = ads_ode(0, eta, -21.5)
-        with pytest.raises(Exception):
-            nu.reduce(ode, branch=(1, 1))
-
     def test_no_bound_branch(self):
-        # flipping the sign of the leading sigma_tilde coefficient leaves only
-        # branches with increasing tau
+        # flipping the sign of the leading sigma_tilde coefficient makes the
+        # indicial exponents at s -> inf complex: no branch is regular there
         ode = nu.HypergeometricODE(
             sigma=(1.0, 0.0, 1.0),
             tau_tilde=(0.0, 1.0),
             sigma_tilde=(-30.0, 2.0, +0.25),
         )
         with pytest.raises(NoBoundBranchError):
-            nu.reduce(ode)
-
-    def test_ambiguous_branch_is_reported(self):
-        ode = nu.HypergeometricODE((1.0, 0.0, -1.0), (0.0, -3.0), (0.0,))
-        with pytest.raises(AmbiguousBranchError) as err:
-            nu.reduce(ode)
-        assert len(err.value.candidates) >= 2
+            nu.reduce(ode, 0)
 
     def test_k_is_one_of_the_candidates(self):
         model = DeformationModel(tau=-1, lam=0.05)
@@ -245,25 +231,28 @@ class TestSolveLevel:
         # lam=0.01, l=0, n=2: quantized eps = n^2 - A - eta^2/(4n^2) = -21.5
         model = DeformationModel(tau=-1, lam=0.01)
         eta = spectra.scaled_eta(model)
-        eps = nu.solve_level(
-            lambda e: ads_ode(0, eta, e), 1, (-26.0, -17.0), branch=(0, -1)
-        )
+        # from the Bohr value -eta^2/(4n^2) = -25 with step n^2 = 4
+        eps = nu.solve_level(lambda e: ads_ode(0, eta, e), 1, -25.0, 4.0)
         assert eps == pytest.approx(-21.5, abs=1e-9)
 
     def test_ds_ground(self):
         # lam=0.1, l=0, n=1: quantized eps = A - 1 - eta^2/4 = -10.5
         model = DeformationModel(tau=1, lam=0.1)
         eta = spectra.scaled_eta(model)
-        eps = nu.solve_level(
-            lambda e: ds_ode(0, eta, e), 0, (-14.0, -8.0), branch=(0, 1)
-        )
+        eps = nu.solve_level(lambda e: ds_ode(0, eta, e), 0, -eta * eta / 4.0, 1.0)
         assert eps == pytest.approx(-10.5, abs=1e-9)
 
     def test_no_sign_change(self):
+        # eps does not enter this family and -40 is no level: a typed error
         model = DeformationModel(tau=-1, lam=0.01)
         eta = spectra.scaled_eta(model)
-        with pytest.raises(NoSignChangeError):
-            nu.solve_level(lambda e: ads_ode(0, eta, e), 1, (-40.0, -35.0), branch=(0, -1))
+        with pytest.raises(EuphError):
+            nu.solve_level(lambda e: ads_ode(0, eta, -40.0), 1, -25.0, 4.0)
+
+    def test_no_level_reaches_the_step_cap(self):
+        # eps enters squared here and the discriminant 328 + 16 eps^2 has no zero
+        with pytest.raises(MaxIterationsError):
+            nu.solve_level(lambda e: ads_ode(0, 20.0, -1.0 + e * e), 1, -25.0, 4.0)
 
 
 class TestPhysicalRange:
@@ -288,6 +277,11 @@ class TestPhysicalRange:
             scale = abs(level.bohr_term) + abs(level.correction)
             assert abs(spectra.energy_via_nu(model, qn) - level.energy) <= 1e-12 * scale
             assert wf.build_state(model, qn).params.delta == n
+            # the regular branch's k is a root of the textbook k-quadratic
+            k = spectra.reduce_level(model, qn).k
+            eps = spectra._epsilon_closed(model, l, n)
+            ks = nu.k_candidates(spectra.hydrogen_ode(model, l, eps))
+            assert min(abs(k - kc) for kc in ks) <= 1e-12 * abs(k)
 
 
 class TestRodrigues:
@@ -342,7 +336,7 @@ def _hydrogen_cases():
         model = DeformationModel(tau=tau, lam=lam)
         eps = spectra._epsilon_closed(model, l, n)
         ode = spectra.hydrogen_ode(model, l, eps)
-        red = nu.reduce(ode, branch=spectra.hydrogen_branch(model, n))
+        red = nu.reduce(ode, n - l - 1)
         interval = (1.05, 6.0) if tau == 1 else (-4.0, 6.0)
         cases.append((model, ode, red, interval))
     return cases
@@ -390,7 +384,8 @@ class TestOrthogonalityOfClassicalReduction:
             tau_tilde=(b - a, -(a + b + 2.0)),
             sigma_tilde=(0.0,),
         )
-        red = nu.reduce(ode, branch=(1, -1))
+        # the branch regular at s -> inf is the other one, so it is built by hand
+        red = nu._branch_reduction(ode, nu.k_candidates(ode)[1], -1)
         assert red.tau == pytest.approx((b - a, -(a + b + 2.0)), abs=1e-12)
         s, w = np.polynomial.legendre.leggauss(160)
         rho = red.weight.value(s)

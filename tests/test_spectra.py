@@ -276,3 +276,30 @@ class TestReductionConsistency:
                 e_closed = spectra.energy(model, qn).energy
                 e_engine = spectra.energy_via_nu(model, qn)
                 assert abs(e_engine - e_closed) <= 1e-9 * abs(e_closed)
+
+    def test_route_reads_no_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("energy_via_nu read a closed form")
+
+        monkeypatch.setattr(spectra, "_epsilon_closed", closed_form)
+        monkeypatch.setattr(spectra, "energy", closed_form)
+        # -1/(2n^2) - tau (lam/2)(n^2 - l(l+1) - 1) written out
+        e_ds = spectra.energy_via_nu(ds(0.01), QuantumNumbers(3, 1))
+        assert e_ds == pytest.approx(-1.0 / 18.0 - 0.03, rel=1e-13)
+        e_ads = spectra.energy_via_nu(ads(0.01), QuantumNumbers(4, 0))
+        assert e_ads == pytest.approx(-1.0 / 32.0 + 0.075, rel=1e-13)
+
+    def test_regular_root_not_the_spurious_one(self):
+        # Lambda - Lambda_n also vanishes at eps = -2.61, on the branch whose
+        # solution is singular at the origin
+        model = ads(0.01)
+        e = spectra.energy_via_nu(model, QuantumNumbers(4, 0))
+        assert spectra.epsilon_of_energy(model, e) == pytest.approx(9.25, abs=1e-12)
+
+    @pytest.mark.parametrize("units", [HARTREE, SI], ids=["hartree", "si"])
+    def test_relative_to_e_next_to_ads_ionization(self, units):
+        # lambda_critical(2, 0) = 1/12: E is 0.0048 of its Bohr term here
+        model = DeformationModel(-1, 0.0832 / units.bohr_radius**2, units)
+        qn = QuantumNumbers(2, 0)
+        e = spectra.energy(model, qn).energy
+        assert abs(spectra.energy_via_nu(model, qn) - e) <= 1e-12 * abs(e)

@@ -58,6 +58,13 @@ class TestBuildState:
         with pytest.raises(NonNormalizableError):
             wf.build_state(ds(0.01), QuantumNumbers(4, 0))
 
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_ds_k_root_exchange_is_non_normalizable(self, l):
+        # lam ~ 1/n^4, where the two k roots of the textbook k-quadratic meet
+        # and lose half their digits; the level lies above the threshold 1/25
+        with pytest.raises(NonNormalizableError, match="not square integrable"):
+            wf.build_state(ds(0.06249999999999994), QuantumNumbers(2, l))
+
     def test_domain_errors(self):
         state = wf.build_state(ads(0.01), QuantumNumbers(1, 0))
         with pytest.raises(DomainError):
