@@ -327,6 +327,20 @@ class TestVerify:
         assert statuses == ["ok"] * 6
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "lam, units",
+        [("0.028002852016093403", "hartree"), ("1e19", "si")],
+        ids=["hartree", "si"],
+    )
+    def test_wall_squeezed_ads_cell_passes_the_ratio_gate(self, tmp_path, lam, units):
+        # AdS (3,2) here once had Richardson ratio 6.99 from bisection round-off
+        out = tmp_path / "verify.csv"
+        code = run(["verify", "--lambdas", lam, "--n-max", "3", "--units", units,
+                    "--output", str(out)])
+        statuses = [ln.split(",")[-1] for ln in out.read_text().splitlines()[1:]]
+        assert not any(st.startswith("error") for st in statuses)
+        assert code == 0
+
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "verify.csv"
         code = run(["verify", "--lambdas", "0.01", "--n-max", "2",

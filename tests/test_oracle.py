@@ -25,6 +25,10 @@ class TestGridSpec:
             oracle.GridSpec(n_points=100)
         with pytest.raises(ValidationError):
             oracle.GridSpec(r_min=2.0, r_max=1.0)
+        with pytest.raises(ValidationError):
+            oracle.GridSpec(r_max=-50.0)
+        with pytest.raises(ValidationError):
+            oracle.GridSpec(r_min=-1.0)
 
 
 class TestSpectrumNearBohr:
@@ -180,9 +184,9 @@ class TestConvergenceGuard:
         calls = {"i": 0}
         original = oracle._solve_radial_grid
 
-        def degraded(model, l, count, n_points, r_min, r_max):
+        def degraded(model, l, count, n_points, r_min, r_max, seeds=None):
             # corrupt only the refined solves so the ratio leaves [2, 6]
-            energies, vecs = original(model, l, count, n_points, r_min, r_max)
+            energies, vecs = original(model, l, count, n_points, r_min, r_max, seeds)
             calls["i"] += 1
             if calls["i"] > 1:
                 energies = energies + 1e-3 * calls["i"]
@@ -191,3 +195,69 @@ class TestConvergenceGuard:
         monkeypatch.setattr(oracle, "_solve_radial_grid", degraded)
         with pytest.raises(ConvergenceError):
             oracle.fd_spectrum(ds(0.001), 0, 1)
+
+
+class TestSeededRefinement:
+    @pytest.mark.parametrize(
+        "lam, l",
+        [(0.03, 3), (0.028002852016093403, 2)],
+        ids=["lam0.03-l3", "lam0.028-l2"],
+    )
+    def test_ratio_free_of_bisection_round_off(self, lam, l):
+        # bisection to an absolute ulp*||T|| once pushed these ratios past 6
+        spec = oracle.fd_spectrum(ads(lam), l, 1)
+        assert abs(spec.convergence_estimate[0] - 4.0) < 0.1
+
+    @staticmethod
+    def sturm_counts(dd, ee, x):
+        """Eigenvalues of (dd, ee) below each x: Sturm counts in long double."""
+        d, e2 = dd.astype(np.longdouble), ee.astype(np.longdouble) ** 2
+        q = d[0] - x
+        below = (q < 0).astype(int)
+        for i in range(1, len(d)):
+            q = d[i] - x - e2[i - 1] / q
+            below += q < 0
+        return below
+
+    @pytest.mark.parametrize(
+        "model, l, count",
+        [(ds(1e-3), 0, 4), (ads(1e-4), 1, 3), (ads(0.03), 3, 1)],
+        ids=["ds-radial", "ads-t-small", "ads-t-wall"],
+    )
+    def test_refined_eigenvalues_are_accurate(self, monkeypatch, model, l, count):
+        if model.tau == 1:
+            def solve(n_points, seeds=None):
+                return oracle._solve_radial_grid(model, l, count, n_points, 8.4e-5, 84.0, seeds)
+        else:
+            def solve(n_points, seeds=None):
+                return oracle._solve_ads_natural(model, l, count, n_points, seeds)
+
+        refined = []
+        original = oracle._refine_eigenvalues
+
+        def recording(dd, ee, seeds):
+            vals = original(dd, ee, seeds)
+            refined.append((dd, ee, vals))
+            return vals
+
+        monkeypatch.setattr(oracle, "_refine_eigenvalues", recording)
+        solve(4000, solve(2000)[0])
+        ((dd, ee, vals),) = refined
+        assert len(dd) == 4000
+        # eigenvalue k lies within 1e-12 (relative) of vals[k]
+        vals = vals.astype(np.longdouble)
+        k = np.arange(count)
+        assert list(self.sturm_counts(dd, ee, vals - 1e-12 * abs(vals))) == list(k)
+        assert list(self.sturm_counts(dd, ee, vals + 1e-12 * abs(vals))) == list(k + 1)
+
+    def test_seed_at_the_next_eigenvalue_raises(self):
+        from euph.errors import ConvergenceError
+
+        model = ds(1e-3)
+        energies, _ = oracle._solve_radial_grid(model, 0, 3, 2000, 4e-5, 40.0)
+        good, _ = oracle._solve_radial_grid(model, 0, 2, 4000, 4e-5, 40.0, energies[:2])
+        assert np.all(np.abs(good - energies[:2]) < 1e-3)
+        with pytest.raises(ConvergenceError, match="sign changes"):
+            oracle._solve_radial_grid(model, 0, 1, 4000, 4e-5, 40.0, energies[1:2])
+        with pytest.raises(ConvergenceError, match="sign changes"):
+            oracle._solve_radial_grid(model, 0, 2, 4000, 4e-5, 40.0, energies[[0, 2]])
