@@ -34,6 +34,9 @@ counts fix the index, and its eigenpairs are what callers see.
 
 crosscheck_report sweeps both models over a list of deformations in one
 serial loop, one finite-difference solve per (model, lambda, l) block.
+
+Importing this module loads numpy only: scipy.linalg, whose import costs more
+than the rest of the package, loads on the first finite-difference solve.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from . import spectra, wavefunctions
 from .errors import ConvergenceError, EuphError, NonNormalizableError, ValidationError
@@ -100,6 +101,17 @@ def _sign_changes(row, tol=1e-8):
     return int(np.sum(signs[1:] * signs[:-1] < 0.0))
 
 
+def eigh_tridiagonal(d, e, **options):
+    """scipy.linalg.eigh_tridiagonal, imported on the first call.
+
+    A module attribute that ``_generalized_tridiag_eigh`` looks up per call,
+    so a test or a profiler can substitute it without loading scipy.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **options)
+
+
 # Rayleigh-quotient refinement: stop at ||T x - rho x|| <= _RQI_RESIDUAL ||T||
 # (||T|| by its Gershgorin bound; the residual floor measured on the 8000 and
 # 16000-point grids is below 3 eps ||T||), after at most _RQI_STEPS solves.
@@ -117,6 +129,8 @@ def _refine_eigenvalues(dd, ee, seeds):
     for negative off-diagonals); a vector that does not, or no convergence
     within the step cap, raises ConvergenceError.
     """
+    from scipy.linalg.lapack import dgtsv
+
     tol = _RQI_RESIDUAL * (np.max(np.abs(dd)) + 2.0 * np.max(np.abs(ee)))
     out = []
     for k, rho in enumerate(seeds):

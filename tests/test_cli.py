@@ -167,14 +167,30 @@ def test_closed_form_commands_import_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_library_imports_no_scipy(tmp_path):
-    # only the finite-difference oracle needs scipy
-    script = textwrap.dedent("""
-        import sys
+    # only a finite-difference solve needs scipy: importing the oracle, its
+    # commutator check and the benchmark tracer's attribute lookups load none
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import importlib, importlib.util, sys
         import euph.cli, euph.polynomials, euph.wavefunctions
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        assert not loaded, loaded
+        from euph import oracle
+        from euph.model import DeformationModel
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        model = DeformationModel(1, 1e-3)
+        oracle.commutator_residual(model, "gaussian", oracle.GridSpec())
+        spec = importlib.util.spec_from_file_location("spans", {str(root / "perfbench" / "spans.py")!r})
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for mod, attr, _ in spans.TARGETS:
+            getattr(importlib.import_module("euph." + mod), attr)
+        assert not scipy_modules(), scipy_modules()
+        oracle.fd_spectrum(model, 0, 1, richardson=True)
+        assert "scipy.linalg" in sys.modules
     """)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -197,6 +197,36 @@ class TestConvergenceGuard:
             oracle.fd_spectrum(ds(0.001), 0, 1)
 
 
+class TestEighAttribute:
+    """The N-grid eigensolve goes through the module attribute
+    ``oracle.eigh_tridiagonal``, the grid samples first: perfbench times it by
+    substituting that attribute and counts ``len(args[0])`` points."""
+
+    @pytest.mark.parametrize(
+        "model, count, coordinate",
+        [(ds(1e-3), 3, "r"), (ads(0.01), 2, "t")],
+        ids=["radial", "ads-t"],
+    )
+    def test_one_call_per_spectrum_on_the_n_grid(self, monkeypatch, model, count, coordinate):
+        solved, refined = [], []
+        eigh, refine = oracle.eigh_tridiagonal, oracle._refine_eigenvalues
+
+        def recording_eigh(*args, **kwargs):
+            solved.append(len(args[0]))
+            return eigh(*args, **kwargs)
+
+        def recording_refine(dd, ee, seeds):
+            refined.append(len(dd))
+            return refine(dd, ee, seeds)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording_eigh)
+        monkeypatch.setattr(oracle, "_refine_eigenvalues", recording_refine)
+        spec = oracle.fd_spectrum(model, 0, count, oracle.GridSpec(n_points=4000))
+        assert spec.coordinate == coordinate
+        assert solved == [4000]
+        assert refined == [8000, 16000]
+
+
 class TestSeededRefinement:
     @pytest.mark.parametrize(
         "lam, l",
