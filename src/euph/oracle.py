@@ -1,36 +1,38 @@
 """Independent finite-difference verification of spectra and algebra.
 
 The radial problem is discretized as a symmetric generalized tridiagonal
-eigenproblem and solved with LAPACK; closed-form energies are never used in
-the discretization, so agreement is a genuine cross-check.
+eigenproblem on a fixed 4000-point grid and solved with LAPACK; closed-form
+energies are never used in the discretization, so agreement is a genuine
+cross-check.
 
 Everything is solved in Hartree units (r in a0, lam_au = lam a0^2); only the
-public functions convert: lengths on the way in, energies (x E_h) and the
-commutator residual (x hbar) on the way out.
+public functions convert: energies (x E_h) and the commutator residual
+(x hbar) on the way out.
 
-dS (and optionally AdS) runs on the radial grid: the substitution
-u = sqrt(r*chi) R removes the first derivative and yields
-A u = kappa B u with B = diag(1/chi^2) and kappa = 2E - tau*lam/2.
+dS, and AdS whose wall lies far outside the atom, run on a uniform radial
+grid with Dirichlet ends: the substitution u = sqrt(r*chi) R removes the
+first derivative and yields A u = kappa B u with B = diag(1/chi^2) and
+kappa = 2E - tau*lam/2.
 
-For AdS the default discretization works in the angle t = arctan s, the
+AdS whose wall is near the atom works in the angle t = arctan s, the
 coordinate in which the radial equation stays regular at the wall chi = 0
 and continues through it; decay is imposed at both images of r -> 0.  This
-is the unique boundary treatment whose spectrum reproduces the polynomial
-closed forms even for wall-squeezed states (a hard Dirichlet box just inside
-the wall, available as ads_bc="box", agrees only for deep states).
+is the boundary treatment whose spectrum reproduces the polynomial closed
+forms even for wall-squeezed states.
+
+Every spectrum is Richardson-checked: the eigenvalues (only) are re-solved
+on the doubled and quadrupled grids, each seeded from the next coarser grid
+(2N from N, 4N from 2N): one shifted inverse-iteration step at the seed,
+then Rayleigh-quotient iteration, each step one O(N) tridiagonal LAPACK
+solve.  An index guard checks that the k-th refined vector changes sign
+exactly k times, and every state's error-reduction ratio must lie in
+[2, 6].  Only the N-grid solve is a full bisection eigensolve; its Sturm
+counts fix the index, and its eigenpairs are what callers see.
 
 The commutator check applies the one-dimensional position representation
 X = x/chi, P = -i hbar chi d/dx with high-order stencils to smooth test
 functions; the identity [X, P] = i hbar (1 - tau lam X^2) is exact, so the
 returned residual measures pure discretization error.
-
-Richardson refinement re-solves on the doubled and quadrupled grids for the
-eigenvalues only.  Each is seeded from the next coarser grid (2N from N, 4N
-from 2N): one shifted inverse-iteration step at the seed, then
-Rayleigh-quotient iteration, each step one O(N) tridiagonal LAPACK solve.
-An index guard checks that the k-th refined vector changes sign exactly k
-times.  Only the N-grid solve is a full bisection eigensolve; its Sturm
-counts fix the index, and its eigenpairs are what callers see.
 
 crosscheck_report sweeps both models over a list of deformations in one
 serial loop, one finite-difference solve per (model, lambda, l) block.
@@ -51,7 +53,6 @@ from .errors import ConvergenceError, EuphError, NonNormalizableError, Validatio
 from .model import DeformationModel, QuantumNumbers, UnitSystem, HARTREE
 
 __all__ = [
-    "GridSpec",
     "OracleSpectrum",
     "fd_spectrum",
     "commutator_residual",
@@ -59,24 +60,11 @@ __all__ = [
     "CrosscheckReport",
 ]
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Discretization request; r_min / r_max, in the model's length unit, default per model."""
-
-    n_points: int = 4000
-    r_min: float = None
-    r_max: float = None
-
-    def __post_init__(self):
-        if self.n_points < 200:
-            raise ValidationError("need at least 200 grid points")
-        for name in ("r_min", "r_max"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValidationError(f"grid needs {name} > 0, got {value!r}")
-        if self.r_min is not None and self.r_max is not None and not self.r_min < self.r_max:
-            raise ValidationError("grid needs 0 < r_min < r_max")
+# points of the base grid (radial, AdS angle and commutator alike); the
+# Richardson refinements solve on twice and four times as many
+_N_POINTS = 4000
+# samples below this fraction of max|row| carry no sign
+_NODE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,16 +76,15 @@ class OracleSpectrum:
     eigenvalues: tuple  # energies, ascending
     eigenvectors: np.ndarray  # row k: grid samples of state k
     coordinate: str  # "r" (radius) or "t" (AdS angle t = arctan s)
-    convergence_estimate: tuple  # per-state Richardson ratios (nan if skipped)
-    statuses: tuple  # per-state "converged" | "above-threshold"
+    convergence_estimate: tuple  # per-state Richardson ratios
 
-    def node_counts(self, tol=1e-8):
-        return [_sign_changes(row, tol) for row in self.eigenvectors]
+    def node_counts(self):
+        return [_sign_changes(row) for row in self.eigenvectors]
 
 
-def _sign_changes(row, tol=1e-8):
-    """Sign changes among the samples of ``row`` above tol * max|row|."""
-    signs = np.sign(row[np.abs(row) > tol * np.max(np.abs(row))])
+def _sign_changes(row):
+    """Sign changes among the samples of ``row`` above _NODE_TOL * max|row|."""
+    signs = np.sign(row[np.abs(row) > _NODE_TOL * np.max(np.abs(row))])
     return int(np.sum(signs[1:] * signs[:-1] < 0.0))
 
 
@@ -172,16 +159,15 @@ def _generalized_tridiag_eigh(diag_a, off_a, diag_b, count, seeds=None):
     return vals, u.T
 
 
-def _solve_radial_grid(model, l, count, n_points, r_min, r_max, seeds=None):
-    """Uniform-r symmetric discretization with Dirichlet ends; (energies, vectors).
+def _solve_radial_grid(model, l, count, n_points, r_max, seeds=None):
+    """Uniform-r symmetric discretization of (0, r_max) in a0, Dirichlet ends.
 
-    With ``seeds`` (energies) the eigenvalues are refined from them, vectors None.
+    Returns (energies, vectors); with ``seeds`` (energies) the eigenvalues
+    are refined from them, vectors None.
     """
     t, lam = model.tau, model.lam_au
     h = r_max / (n_points + 1)
-    i0 = max(1, int(math.ceil(r_min / h))) if r_min and r_min > h else 1
-    idx = np.arange(i0, n_points + 1)
-    r = idx * h
+    r = np.arange(1, n_points + 1) * h
     chi2 = 1.0 + t * lam * r * r
     # potential of the first-derivative-free radial form (u variable)
     veff = (
@@ -225,87 +211,48 @@ def _solve_ads_natural(model, l, count, n_points, seeds=None):
     return (model.lam_au / 2.0) * (eps + 0.5 * model.tau), vecs
 
 
-def fd_spectrum(
-    model: DeformationModel,
-    l: int,
-    count: int,
-    grid: GridSpec = None,
-    richardson: bool = True,
-    ads_bc: str = "natural",
-) -> OracleSpectrum:
-    """Lowest ``count`` radial energies from the finite-difference solver.
+def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
+    """Lowest ``count`` radial energies and grid eigenvectors, N = 4000 points.
 
-    ``richardson=True`` refines the eigenvalues (only) on doubled and
-    quadrupled grids, each seeded from the next coarser grid, and stores the
-    per-state error-reduction ratio (about 4 for a second-order scheme);
-    ratios outside [2, 6] on trusted states raise ConvergenceError, as does
-    a refinement that does not converge or whose k-th vector fails the index
-    guard (exactly k sign changes).  dS states above the continuum threshold
-    -sqrt(lam_au) E_h are flagged, not trusted.
+    The grid is radial (dS, and AdS with the wall beyond twice the states'
+    extent) or the AdS angle t = arctan s.  The eigenvalues are re-solved on
+    the 2N and 4N grids, each seeded from the next coarser one, and the
+    per-state error-reduction ratio (about 4 for a second-order scheme) is
+    stored.  A ratio outside [2, 6] on any state raises ConvergenceError, as
+    does a refinement that does not converge or whose k-th vector fails the
+    index guard (exactly k sign changes).
     """
     if count < 1 or count > 10:
         raise ValidationError("count must lie in [1, 10]")
     if l < 0:
         raise ValidationError("l must be nonnegative")
-    if ads_bc not in ("natural", "box"):
-        raise ValidationError(f"unknown AdS boundary treatment {ads_bc!r}")
-    grid = grid or GridSpec()
-    a0, lam = model.units.bohr_radius, model.lam_au
 
     # The arc-coordinate solve resolves the wall but spreads points over the
     # whole AdS domain; when the wall sits far outside the atom (tiny lam) the
     # states never feel it and the radial box is both valid and better
     # conditioned, so dispatch on the wall-to-atom distance.  Lengths in a0.
     free_extent = 4.0 * (count + l) ** 2 + 20.0
-    wall = 1.0 / math.sqrt(lam)  # the AdS domain's end
-    use_tspace = model.tau == -1 and ads_bc == "natural" and wall <= 2.0 * free_extent
-    if model.tau == -1 and not use_tspace and grid.r_max is not None:
-        # B = diag(1/chi^2) is positive only strictly inside the wall
-        if grid.r_max / a0 >= wall:
-            raise ValidationError(
-                f"an AdS radial grid needs r_max < wall radius {model.wall_radius():.6g}"
-            )
-    if grid.r_max:
-        r_max = grid.r_max / a0
-    elif model.tau == 1:
-        r_max = max(free_extent, 40.0)
-    else:
-        r_max = wall if ads_bc == "box" else free_extent
-    r_min = grid.r_min / a0 if grid.r_min is not None else 1e-6 * r_max
+    use_tspace = model.tau == -1 and 1.0 / math.sqrt(model.lam_au) <= 2.0 * free_extent
+    r_max = max(free_extent, 40.0) if model.tau == 1 else free_extent
 
     def solve(n_points, seeds=None):
         if use_tspace:
             return _solve_ads_natural(model, l, count, n_points, seeds)
-        return _solve_radial_grid(model, l, count, n_points, r_min, r_max, seeds)
+        return _solve_radial_grid(model, l, count, n_points, r_max, seeds)
 
-    energies, vecs = solve(grid.n_points)
-
-    ratios = [math.nan] * count
-    if richardson:
-        e2x = solve(2 * grid.n_points, energies)[0]
-        e4x = solve(4 * grid.n_points, e2x)[0]
-        for i in range(count):
-            num = energies[i] - e2x[i]
-            den = e2x[i] - e4x[i]
-            floor = 1e-13 * max(1.0, abs(energies[i]))
-            ratios[i] = 4.0 if abs(den) < floor else num / den
-
-    statuses = ["converged"] * count
-    if model.tau == 1:
-        # margin: a few box quanta, so states dissolving into the truncated
-        # continuum are never reported as converged
-        spacing = 0.5 * (math.pi / r_max) ** 2
-        statuses = [
-            "converged" if e < -math.sqrt(lam) - 5.0 * spacing else "above-threshold"
-            for e in energies
-        ]
-
-    if richardson:
-        for i, (ratio, status) in enumerate(zip(ratios, statuses)):
-            if status == "converged" and not (2.0 <= ratio <= 6.0):
-                raise ConvergenceError(
-                    f"state {i}: error-reduction ratio {ratio:.2f} is not second order"
-                )
+    energies, vecs = solve(_N_POINTS)
+    e2x = solve(2 * _N_POINTS, energies)[0]
+    e4x = solve(4 * _N_POINTS, e2x)[0]
+    ratios = []
+    for i in range(count):
+        num = energies[i] - e2x[i]
+        den = e2x[i] - e4x[i]
+        floor = 1e-13 * max(1.0, abs(energies[i]))
+        ratios.append(4.0 if abs(den) < floor else num / den)
+        if not 2.0 <= ratios[i] <= 6.0:
+            raise ConvergenceError(
+                f"state {i}: error-reduction ratio {ratios[i]:.2f} is not second order"
+            )
 
     e_h = model.units.hartree_energy
     return OracleSpectrum(
@@ -315,7 +262,6 @@ def fd_spectrum(
         eigenvectors=vecs,
         coordinate="t" if use_tspace else "r",
         convergence_estimate=tuple(ratios),
-        statuses=tuple(statuses),
     )
 
 
@@ -336,27 +282,23 @@ def _d1(f, h):
     return out
 
 
-def commutator_residual(model: DeformationModel, test_function_id: str, grid: GridSpec = None) -> float:
+def commutator_residual(model: DeformationModel, test_function_id: str) -> float:
     """Grid residual of [X, P] f = i hbar (1 - tau lam X^2) f in 1-D.
 
     X = x/chi and P = -i hbar chi d/dx; derivatives use 8th-order central
-    stencils on a symmetric interval, +-5 a0 by default (clipped inside the
-    AdS box), with the test functions Gaussians in x/a0.  The identity holds
-    exactly, so the result is the scheme's discretization error, normalized
-    by max|f|: an action, in units of hbar.
+    stencils on N = 4000 points of the interval +-5 a0 (clipped to 0.95 of
+    the AdS wall), with the test functions Gaussians in x/a0.  The identity
+    holds exactly, so the result is the scheme's discretization error,
+    normalized by max|f|: an action, in units of hbar.
     """
     if test_function_id not in _TEST_FUNCTIONS:
         raise ValidationError(
             f"unknown test function {test_function_id!r}; "
             f"choose from {sorted(_TEST_FUNCTIONS)}"
         )
-    grid = grid or GridSpec()
     lam = model.lam_au
-    half = grid.r_max / model.units.bohr_radius if grid.r_max else 5.0
-    if model.tau == -1:
-        half = min(half, 0.95 * (1.0 / math.sqrt(lam)))
-    n = grid.n_points
-    x = np.linspace(-half, half, n)
+    half = 5.0 if model.tau == 1 else min(5.0, 0.95 * (1.0 / math.sqrt(lam)))
+    x = np.linspace(-half, half, _N_POINTS)
     h = x[1] - x[0]
     f = _TEST_FUNCTIONS[test_function_id](x)
     chi = np.sqrt(1.0 + model.tau * lam * x * x)
@@ -376,11 +318,11 @@ class CrosscheckReport:
     summary: dict
 
 
-def _crosscheck_cell_block(model, l, n_max, n_points, threshold):
+def _crosscheck_cell_block(model, l, n_max, threshold):
     rows = []
     count = n_max - l
     try:
-        spec = fd_spectrum(model, l, count, GridSpec(n_points=n_points))
+        spec = fd_spectrum(model, l, count)
         nodes_fd = spec.node_counts()
     except EuphError as exc:
         for k in range(count):
@@ -430,12 +372,7 @@ def _row(model, l, n, e_closed, e_fd, nodes_closed, nodes_fd, status):
     }
 
 
-def crosscheck_report(
-    lambdas,
-    n_max: int,
-    units: UnitSystem = HARTREE,
-    n_points: int = 4000,
-) -> CrosscheckReport:
+def crosscheck_report(lambdas, n_max: int, units: UnitSystem = HARTREE) -> CrosscheckReport:
     """Deviation table |E_closed - E_oracle|/|E_closed| for both models.
 
     Cells run serially in a fixed order: dS before AdS, lambdas as given,
@@ -453,7 +390,7 @@ def crosscheck_report(
             # the dS continuum threshold, in the closed-form energies' units
             threshold = -math.sqrt(model.lam_au) * units.hartree_energy
             for l in range(n_max):
-                rows += _crosscheck_cell_block(model, l, n_max, n_points, threshold)
+                rows += _crosscheck_cell_block(model, l, n_max, threshold)
     rows = tuple(rows)
 
     def max_dev(model_name):

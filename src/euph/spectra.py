@@ -222,10 +222,11 @@ def spectroscopic_bound(precision: float, units: UnitSystem = HARTREE) -> Spectr
 
     Attributes the whole relative error of the 2s-1s line to the deformation
     shift: precision = C * (hbar/(m e2))^2 * dP_min^2 with C = 3/2 in the
-    quoted convention and C = 3 as derived from the level shift.
+    quoted convention and C = 3 as derived from the level shift.  A relative
+    line precision lies in [0, 1); anything else raises ValidationError.
     """
-    if not 0.0 <= precision < math.inf:
-        raise ValidationError(f"precision must be nonnegative and finite, got {precision}")
+    if not 0.0 <= precision < 1.0:
+        raise ValidationError(f"precision must lie in [0, 1), got {precision}")
     p_atomic = units.m * units.e2 / units.hbar  # hbar / bohr_radius
     dp_conv = math.sqrt(2.0 * precision / 3.0) * p_atomic
     dp_der = math.sqrt(precision / 3.0) * p_atomic

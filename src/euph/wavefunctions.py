@@ -67,8 +67,8 @@ class RadialEigenstate:
 def _log_radial_in_s(state: RadialEigenstate, s, log_t=None, log_prefactor=0.0):
     """(log|R| + log_prefactor, sign) of the unnormalized R factor at s.
 
-    dS callers pass log_t = log((s-1)/(s+1)) formed without cancellation, used
-    where s < 3; AdS accepts any real s.
+    dS callers pass log_t = log((s-1)/(s+1)) formed without cancellation
+    (_ds_log_t); AdS accepts any real s.
     Both envelopes are measured from the atom's end s -> inf, so no term of
     size eta*log(s) is formed: dS as (1/2 - delta) log(s+1) + A log t with
     t = (s-1)/(s+1), AdS as p log(1+s^2) - q atan2(1, s).
@@ -77,9 +77,6 @@ def _log_radial_in_s(state: RadialEigenstate, s, log_t=None, log_prefactor=0.0):
     p = state.params
     rate = _envelope_rate(state.model.tau, p)
     if state.model.tau == 1:
-        u = 2.0 / (s + 1.0)
-        # the clip keeps log1p finite where the other branch is taken (u -> 1)
-        log_t = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), log_t)
         env = (0.5 - p.delta) * np.log(s + 1.0) + rate * log_t
     else:
         env = 0.5 * (0.5 - p.delta) * np.log1p(s * s) - rate * np.arctan2(1.0, s)
@@ -87,6 +84,13 @@ def _log_radial_in_s(state: RadialEigenstate, s, log_t=None, log_prefactor=0.0):
     with np.errstate(divide="ignore"):
         logy = np.where(y == 0.0, -np.inf, np.log(np.abs(np.where(y == 0.0, 1.0, y))))
     return env + log_prefactor + logy, np.sign(y)
+
+
+def _ds_log_t(s, log_t):
+    """log((s-1)/(s+1)): the caller's log_t, exact near s = 1, used where s < 3; log1p beyond."""
+    u = 2.0 / (s + 1.0)
+    # the clip keeps log1p finite where the other branch is taken (u -> 1)
+    return np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), log_t)
 
 
 def _envelope_rate(tau: int, p: spectra.ScaledParameters) -> float:
@@ -205,7 +209,9 @@ def radial_eval(state: RadialEigenstate, r):
     chi = np.sqrt(1.0 + model.tau * lam * x * x)
     sl = math.sqrt(lam)
     s = chi / (sl * x)
-    log_t = np.log(1.0 / (sl * x * (chi + sl * x)) / (s + 1.0)) if model.tau == 1 else None
+    log_t = None
+    if model.tau == 1:
+        log_t = _ds_log_t(s, np.log(1.0 / (sl * x * (chi + sl * x)) / (s + 1.0)))
     lg, sg = _log_radial_in_s(state, s, log_t, -0.5 * np.log(x))
     vals = state.sign * sg * np.exp(lg - state.log_norm_au) / a0**1.5
     return float(vals[0]) if scalar else vals
@@ -275,10 +281,12 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     Each piece is one ``integrate.quad`` in a variable other than
     build_state's u and phi: x = r/a0 on breakpoints (0.1, 1, 4, 16) n^2 up
     to edge = min(60 n^2, R/2), R the AdS wall; the dS tail as
-    x = edge w^(-1/gamma), gamma = -(p_a + p_b + 3) with p the tail exponents
-    (one less for the operator measure's 1/chi ~ 1/r), bounded as w -> 0; the
-    AdS stretch as x = R (1 - v^2), smooth through the wall; for "extended",
-    the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
+    x = edge w^(-1/gamma), gamma = 2(A_a + A_b) - 2 with A the envelope rates
+    (R ~ t^A at the tail; 2(A_a + A_b) - 1 for the operator measure's
+    1/chi ~ 1/r), so that every power of w cancels and the integrand, formed
+    from the remainder log t0 = -log lam - 2 log edge - 2 log(s+1), tends to
+    a constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
+    the wall; for "extended", the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
     error goal from the core's size.  The dS tail breaks at w = 2^(-k gamma),
     the images of x = edge 2^k: near the bound-state threshold gamma -> 0 and
     the core-to-tail transition lies in w in [1 - O(gamma), 1].
@@ -306,7 +314,7 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
         # s^2 = tau + e with e = 1/(lam r^2), chi = s/sqrt(e)
         log_e = -math.log(lam) - 2.0 * log_r
         s = np.sqrt(model.tau + np.exp(log_e))
-        log_t = log_e - 2.0 * np.log(s + 1.0) if model.tau == 1 else None
+        log_t = _ds_log_t(s, log_e - 2.0 * np.log(s + 1.0)) if model.tau == 1 else None
         return in_r(s, log_t, log_r, log_jac, np.log(s) - 0.5 * log_e)
 
     wall = math.inf if model.tau == 1 else 1.0 / math.sqrt(lam)
@@ -315,12 +323,18 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     points = [0.0] + [f * n2 for f in (0.1, 1.0, 4.0, 16.0) if f * n2 < edge] + [edge]
     val = integrate.quad(lambda x: at_radius(np.log(x), 0.0), points)[0]
     if model.tau == 1:
-        p = tail_exponent(model, state_a.qn) + tail_exponent(model, state_b.qn)
-        gamma = -(p + 3.0) if measure == "flat" else -(p + 2.0)
+        rates = _envelope_rate(1, state_a.params) + _envelope_rate(1, state_b.params)
+        gamma = 2.0 * rates - (2.0 if measure == "flat" else 1.0)
+        log_edge = math.log(edge)
+        log_e0 = -math.log(lam) - 2.0 * log_edge  # log e at the edge
 
         def tail(w):
-            log_r = math.log(edge) - np.log(w) / gamma
-            return at_radius(log_r, log_r - np.log(gamma * w))
+            # log t = log t0 + (2/gamma) log w, r = edge w^(-1/gamma): every
+            # power of w cancels, so the w-free remainder is all that is formed
+            s = np.sqrt(1.0 + np.exp(log_e0 + 2.0 * np.log(w) / gamma))
+            log_t0 = log_e0 - 2.0 * np.log(s + 1.0)
+            log_chi = np.log(s) - 0.5 * log_e0
+            return in_r(s, log_t0, log_edge, log_edge - math.log(gamma), log_chi)
 
         # a subnormal cut would put quadrature nodes at w = 0
         cuts = {2.0 ** (-k * gamma) for k in (1, 2, 3, 4, 6, 10, 20, 40)}

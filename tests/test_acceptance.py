@@ -212,7 +212,7 @@ def test_criterion_09_node_counts():
             model = DeformationModel(tau, lam)
             for l in range(4):
                 count = 4 - l
-                spec = oracle.fd_spectrum(model, l, count, richardson=False)
+                spec = oracle.fd_spectrum(model, l, count)
                 fd_nodes = spec.node_counts()
                 for k in range(count):
                     n = l + 1 + k

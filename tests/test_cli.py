@@ -180,14 +180,14 @@ def test_library_imports_no_scipy(tmp_path):
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
         model = DeformationModel(1, 1e-3)
-        oracle.commutator_residual(model, "gaussian", oracle.GridSpec())
+        oracle.commutator_residual(model, "gaussian")
         spec = importlib.util.spec_from_file_location("spans", {str(root / "perfbench" / "spans.py")!r})
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
         for mod, attr, _ in spans.TARGETS:
             getattr(importlib.import_module("euph." + mod), attr)
         assert not scipy_modules(), scipy_modules()
-        oracle.fd_spectrum(model, 0, 1, richardson=True)
+        oracle.fd_spectrum(model, 0, 1)
         assert "scipy.linalg" in sys.modules
     """)
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -380,7 +380,7 @@ class TestBound:
         assert dp_derived == pytest.approx(3.639e-32, rel=1e-3)
         assert "5.146e-32" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("precision", ["nan", "inf", "-inf", "-1e-15"])
+    @pytest.mark.parametrize("precision", ["nan", "inf", "-inf", "-1e-15", "1", "1e300"])
     def test_precision_not_finite_or_negative_exits_2(self, tmp_path, capsys, precision):
         out = tmp_path / "bound.csv"
         assert run(["bound", f"--precision={precision}", "--output", str(out)]) == 2

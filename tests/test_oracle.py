@@ -19,18 +19,6 @@ def ads(lam):
 BOHR = [-0.5, -0.125, -1.0 / 18.0]
 
 
-class TestGridSpec:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            oracle.GridSpec(n_points=100)
-        with pytest.raises(ValidationError):
-            oracle.GridSpec(r_min=2.0, r_max=1.0)
-        with pytest.raises(ValidationError):
-            oracle.GridSpec(r_max=-50.0)
-        with pytest.raises(ValidationError):
-            oracle.GridSpec(r_min=-1.0)
-
-
 class TestSpectrumNearBohr:
     @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
     def test_first_three_levels(self, tau):
@@ -51,35 +39,18 @@ class TestSpectrumNearBohr:
 class TestOracleStructure:
     def test_sturm_node_counts(self):
         for model in (ds(0.001), ads(0.01)):
-            spec = oracle.fd_spectrum(model, 0, 4, richardson=False)
+            spec = oracle.fd_spectrum(model, 0, 4)
             assert spec.node_counts() == [0, 1, 2, 3]
 
     def test_richardson_ratio_second_order(self):
         for model in (ds(0.001), ads(0.01)):
             spec = oracle.fd_spectrum(model, 0, 3)
-            for ratio, status in zip(spec.convergence_estimate, spec.statuses):
-                if status == "converged":
-                    assert 2.5 <= ratio <= 6.0
+            for ratio in spec.convergence_estimate:
+                assert 2.5 <= ratio <= 6.0
 
     def test_eigenvalues_ascending(self):
-        spec = oracle.fd_spectrum(ads(0.01), 1, 3, richardson=False)
+        spec = oracle.fd_spectrum(ads(0.01), 1, 3)
         assert list(spec.eigenvalues) == sorted(spec.eigenvalues)
-
-    def test_r_min_insensitivity(self):
-        model = ds(0.01)
-        vals = []
-        for r_min_factor in (1e-4, 5e-5):
-            grid = oracle.GridSpec(r_min=r_min_factor * 44.0, r_max=44.0)
-            spec = oracle.fd_spectrum(model, 0, 2, grid, richardson=False)
-            vals.append(spec.eigenvalues)
-        assert abs(vals[0][0] - vals[1][0]) <= 1e-10
-        assert abs(vals[0][1] - vals[1][1]) <= 1e-10
-
-    def test_ds_threshold_flagging(self):
-        # lam=0.01 puts the n=3 levels above the continuum threshold -sqrt(lam)
-        spec = oracle.fd_spectrum(ds(0.01), 0, 3, richardson=False)
-        assert spec.statuses[0] == "converged"
-        assert spec.statuses[2] == "above-threshold"
 
     def test_count_bounds(self):
         with pytest.raises(ValidationError):
@@ -87,26 +58,15 @@ class TestOracleStructure:
 
 
 class TestWallTreatment:
-    def test_deep_states_agree_both_ways(self):
-        model = ads(0.001)
-        nat = oracle.fd_spectrum(model, 0, 1, richardson=False)
-        box = oracle.fd_spectrum(model, 0, 1, richardson=False, ads_bc="box")
-        assert abs(nat.eigenvalues[0] - box.eigenvalues[0]) < 1e-4
-
     def test_squeezed_state_needs_the_natural_continuation(self):
-        # (n=3, l=0) at lam=0.01 leans on the wall: the hard box shifts it by
-        # percents while the smooth continuation reproduces the closed form
+        # (n=3, l=0) at lam=0.01 leans on the wall (a hard box just inside it
+        # shifts the level by more than 1e-2); the smooth continuation in
+        # t = arctan s reproduces the closed form
         model = ads(0.01)
         e_ref = spectra.energy(model, QuantumNumbers(3, 0)).energy
-        nat = oracle.fd_spectrum(model, 0, 3, richardson=False)
-        box = oracle.fd_spectrum(model, 0, 3, richardson=False, ads_bc="box")
+        nat = oracle.fd_spectrum(model, 0, 3)
+        assert nat.coordinate == "t"
         assert abs(nat.eigenvalues[2] - e_ref) / abs(e_ref) < 1e-3
-        assert abs(box.eigenvalues[2] - e_ref) / abs(e_ref) > 1e-2
-
-    def test_radial_grid_past_the_wall_is_a_validation_error(self):
-        with pytest.raises(ValidationError):
-            oracle.fd_spectrum(ads(0.01), 0, 1, oracle.GridSpec(r_max=20.0),
-                               richardson=False, ads_bc="box")
 
 
 class TestCommutator:
@@ -139,6 +99,18 @@ class TestCrosscheck:
         assert report.summary["max_rel_dev_ds"] < 1e-3
         assert report.summary["all_nodes_match"]
         assert report.summary["errors"] == 0
+
+    def test_ds_labels(self):
+        # lam = 0.01: the n = 3 and 4 levels lie above the continuum edge
+        # -sqrt(lam), except (4,0), which lies below it with a tail that is
+        # not square integrable
+        report = oracle.crosscheck_report([0.01], 4)
+        labels = {(r["n"], r["l"]): r["status"] for r in report.rows if r["model"] == "ds"}
+        assert len(labels) == 10
+        expected = {(1, 0): "ok", (2, 0): "ok", (2, 1): "ok"}
+        expected[4, 0] = "closed form not normalizable"
+        for nl, status in labels.items():
+            assert status == expected.get(nl, "above-threshold"), nl
 
     def test_row_order_is_deterministic(self):
         # dS before AdS, lambdas in input order, then l and n ascending
@@ -181,20 +153,29 @@ class TestConvergenceGuard:
     def test_non_second_order_richardson_raises(self, monkeypatch):
         from euph.errors import ConvergenceError
 
-        calls = {"i": 0}
         original = oracle._solve_radial_grid
 
-        def degraded(model, l, count, n_points, r_min, r_max, seeds=None):
-            # corrupt only the refined solves so the ratio leaves [2, 6]
-            energies, vecs = original(model, l, count, n_points, r_min, r_max, seeds)
-            calls["i"] += 1
-            if calls["i"] > 1:
-                energies = energies + 1e-3 * calls["i"]
-            return energies, vecs
+        def degrade(shift):
+            # solve N, 2N, 4N are calls 1, 2, 3; shift(call) is added to the energies
+            calls = []
 
-        monkeypatch.setattr(oracle, "_solve_radial_grid", degraded)
+            def degraded(*args, **kwargs):
+                energies, vecs = original(*args, **kwargs)
+                calls.append(None)
+                return energies + shift(len(calls)), vecs
+
+            monkeypatch.setattr(oracle, "_solve_radial_grid", degraded)
+
+        # corrupt only the refined solves so the ratio leaves [2, 6]
+        degrade(lambda call: 1e-3 * call if call > 1 else 0.0)
         with pytest.raises(ConvergenceError):
             oracle.fd_spectrum(ds(0.001), 0, 1)
+
+        # the gate covers every state, also dS state 2 at lam = 0.01, which
+        # lies above the continuum edge -sqrt(lam)
+        degrade(lambda call: np.array([0.0, 0.0, 1e-3 if call == 3 else 0.0]))
+        with pytest.raises(ConvergenceError, match="state 2: error-reduction ratio"):
+            oracle.fd_spectrum(ds(0.01), 0, 3)
 
 
 class TestEighAttribute:
@@ -221,7 +202,7 @@ class TestEighAttribute:
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", recording_eigh)
         monkeypatch.setattr(oracle, "_refine_eigenvalues", recording_refine)
-        spec = oracle.fd_spectrum(model, 0, count, oracle.GridSpec(n_points=4000))
+        spec = oracle.fd_spectrum(model, 0, count)
         assert spec.coordinate == coordinate
         assert solved == [4000]
         assert refined == [8000, 16000]
@@ -257,7 +238,7 @@ class TestSeededRefinement:
     def test_refined_eigenvalues_are_accurate(self, monkeypatch, model, l, count):
         if model.tau == 1:
             def solve(n_points, seeds=None):
-                return oracle._solve_radial_grid(model, l, count, n_points, 8.4e-5, 84.0, seeds)
+                return oracle._solve_radial_grid(model, l, count, n_points, 84.0, seeds)
         else:
             def solve(n_points, seeds=None):
                 return oracle._solve_ads_natural(model, l, count, n_points, seeds)
@@ -284,10 +265,10 @@ class TestSeededRefinement:
         from euph.errors import ConvergenceError
 
         model = ds(1e-3)
-        energies, _ = oracle._solve_radial_grid(model, 0, 3, 2000, 4e-5, 40.0)
-        good, _ = oracle._solve_radial_grid(model, 0, 2, 4000, 4e-5, 40.0, energies[:2])
+        energies, _ = oracle._solve_radial_grid(model, 0, 3, 2000, 40.0)
+        good, _ = oracle._solve_radial_grid(model, 0, 2, 4000, 40.0, energies[:2])
         assert np.all(np.abs(good - energies[:2]) < 1e-3)
         with pytest.raises(ConvergenceError, match="sign changes"):
-            oracle._solve_radial_grid(model, 0, 1, 4000, 4e-5, 40.0, energies[1:2])
+            oracle._solve_radial_grid(model, 0, 1, 4000, 40.0, energies[1:2])
         with pytest.raises(ConvergenceError, match="sign changes"):
-            oracle._solve_radial_grid(model, 0, 2, 4000, 4e-5, 40.0, energies[[0, 2]])
+            oracle._solve_radial_grid(model, 0, 2, 4000, 40.0, energies[[0, 2]])

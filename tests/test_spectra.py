@@ -177,7 +177,7 @@ class TestSpectroscopicBound:
         assert b.dp_min_convention == 0.0
         assert b.dp_min_derived == 0.0
 
-    @pytest.mark.parametrize("precision", [-1e-15, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("precision", [-1e-15, math.nan, math.inf, -math.inf, 1.0, 1e300])
     def test_negative_rejected(self, precision):
         with pytest.raises(ValidationError):
             spectra.spectroscopic_bound(precision, SI)

@@ -201,6 +201,15 @@ class TestNormalization:
         for state in (hartree, si):
             assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_norm_next_to_the_ds_threshold(self, n):
+        # a relative 1e-6 below lam = 1/(n^2 (n + 1/2)^2) the norm's density
+        # falls off as r^(-1 - gamma), gamma = (n + 1/2) 1e-6: half of the
+        # tail's mass lies beyond r = edge 2^(1/gamma), past the float range
+        model = DeformationModel(1, (1.0 - 1e-6) / (n * n * (n + 0.5) ** 2))
+        for l in range(n):
+            state = wf.build_state(model, QuantumNumbers(n, l))
+            assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-10, l
 
 class TestShapes:
     def test_ds_tail_decays_monotonically(self):
