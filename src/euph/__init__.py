@@ -4,7 +4,8 @@ Library layout:
 
 - ``model``: deformation algebra, unit systems, coordinate map, uncertainty floor
 - ``nu_engine``: generic reduction of hypergeometric-type ODEs (Nikiforov-Uvarov)
-- ``polynomials``: Jacobi / Romanovski evaluators and weighted inner products
+- ``polynomials``: a state's Jacobi (dS) or Romanovski (AdS) polynomial from its
+  reduction's sigma and tau
 - ``integrate``: the one quadrature module (adaptive Gauss-Kronrod, Gauss rules)
 - ``spectra``: closed-form energies, critical and inversion deformations, bounds
 - ``wavefunctions``: radial eigenfunctions, nodes, normalization, spherical harmonics

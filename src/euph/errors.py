@@ -29,14 +29,6 @@ class UndefinedInversionError(ValidationError):
     """No level-crossing deformation exists for this level."""
 
 
-class ComplexRootsError(EuphError):
-    """The quadratic for the reduction constant k has no real roots."""
-
-    def __init__(self, message, discriminant=None):
-        super().__init__(message)
-        self.discriminant = discriminant
-
-
 class NotAPerfectSquareError(EuphError):
     """The expression under the root is not the square of a polynomial."""
 
@@ -56,7 +48,3 @@ class NonNormalizableError(EuphError):
 class ConvergenceError(EuphError):
     """Numerical scheme did not converge: a Richardson ratio off the expected
     order, or a quadrature past its panel cap."""
-
-
-class NonIntegrableWarning(UserWarning):
-    """Weighted inner product diverges at an endpoint; result is nan."""

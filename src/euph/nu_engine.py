@@ -26,14 +26,10 @@ Polynomial coefficients are stored ascending, as tuples of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-import numpy.polynomial.polynomial as npoly
-
 from .errors import (
-    ComplexRootsError,
     MaxIterationsError,
     NoBoundBranchError,
     NotAPerfectSquareError,
@@ -42,14 +38,9 @@ from .errors import (
 
 __all__ = [
     "HypergeometricODE",
-    "WeightDescriptor",
     "NUReduction",
-    "k_candidates",
-    "pi_branches",
     "reduce",
-    "level_constant",
     "solve_level",
-    "rodrigues_coefficients",
     "rodrigues_polynomial",
 ]
 
@@ -126,10 +117,6 @@ class HypergeometricODE:
     def _half_difference(self) -> tuple:
         return tuple(0.5 * c for c in _axpy(_der(self.sigma), -1.0, self.tau_tilde))
 
-    def under_root(self, k: float) -> tuple:
-        """((sigma'-tau_tilde)/2)^2 - sigma_tilde + k*sigma."""
-        return _under_root(self, k)[0]
-
 
 def _under_root(ode: HypergeometricODE, k: float):
     """The under-root quadratic and, per coefficient, the magnitudes of its terms."""
@@ -142,59 +129,6 @@ def _under_root(ode: HypergeometricODE, k: float):
 
 
 @dataclass(frozen=True)
-class WeightDescriptor:
-    """Pearson weight as a product of |base|^exponent factors.
-
-    rho(s) = exp(log_scale) * prod_i |base_i(s)|^{e_i}
-             * exp(arctan_coeff * arctan(arctan_arg(s)))
-
-    ``arctan_arg`` is a linear polynomial (identity for the canonical
-    Romanovski weight); arctan_coeff = 0 when no such factor is present.
-    log_scale pins rho = 1 at a canonical interior point.
-    """
-
-    factors: tuple  # ((coeffs, exponent), ...)
-    arctan_coeff: float = 0.0
-    arctan_arg: tuple = (0.0, 1.0)
-    log_scale: float = 0.0
-
-    def log_value(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, self.log_scale)
-        for coeffs, expo in self.factors:
-            out = out + expo * np.log(np.abs(npoly.polyval(s, coeffs)))
-        if self.arctan_coeff != 0.0:
-            out = out + self.arctan_coeff * np.arctan(npoly.polyval(s, self.arctan_arg))
-        return out
-
-    def value(self, s):
-        return np.exp(self.log_value(s))
-
-    def log_derivative(self, s):
-        """rho'/rho, evaluated analytically."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        for coeffs, expo in self.factors:
-            out = out + expo * npoly.polyval(s, npoly.polyder(coeffs)) / npoly.polyval(s, coeffs)
-        if self.arctan_coeff != 0.0:
-            arg = npoly.polyval(s, self.arctan_arg)
-            darg = npoly.polyval(s, npoly.polyder(self.arctan_arg))
-            out = out + self.arctan_coeff * darg / (1.0 + arg * arg)
-        return out
-
-    def pearson_residual(self, sigma, tau, points):
-        """max over points of |(sigma*rho)' - tau*rho| / max(1, |tau*rho|)."""
-        s = np.asarray(points, dtype=float)
-        rho = self.value(s)
-        sig = npoly.polyval(s, sigma)
-        dsig = npoly.polyval(s, npoly.polyder(sigma))
-        tv = npoly.polyval(s, tau)
-        lhs = dsig * rho + sig * rho * self.log_derivative(s)
-        rhs = tv * rho
-        return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
-
-
-@dataclass(frozen=True)
 class NUReduction:
     """One chosen (k, sign) branch of the reduction."""
 
@@ -204,55 +138,6 @@ class NUReduction:
     level_lambda: float  # Lambda = k + pi'
     sigma: tuple
     root_poly: tuple = field(default=())  # linear sqrt of the under-root quadratic
-
-    @property
-    def tau_slope(self) -> float:
-        return _coef(self.tau, 1)
-
-    @cached_property
-    def weight(self) -> WeightDescriptor:
-        """Pearson weight of (sigma, tau), built on first read."""
-        return _weight_from_tau(self.sigma, self.tau)
-
-
-def k_candidates(ode: HypergeometricODE):
-    """Both roots of the quadratic fixing k, sorted descending.
-
-    The under-root expression q2(k) s^2 + q1(k) s + q0(k) is a perfect square
-    iff its s-discriminant vanishes; that condition is quadratic in k.  Raises
-    ComplexRootsError when the k-discriminant is negative (no real reduction).
-    """
-    base = ode.under_root(0.0)  # ((sigma'-tau_tilde)/2)^2 - sigma_tilde
-    b0, b1, b2 = (_coef(base, i) for i in range(3))
-    s0, s1, s2 = (_coef(ode.sigma, i) for i in range(3))
-
-    a = s1 * s1 - 4.0 * s2 * s0
-    b = 2.0 * b1 * s1 - 4.0 * (b2 * s0 + b0 * s2)
-    c = b1 * b1 - 4.0 * b2 * b0
-
-    if _negligible(a, s1 * s1, 4.0 * s2 * s0):
-        if _negligible(b, 2.0 * b1 * s1, 4.0 * b2 * s0, 4.0 * b0 * s2):
-            raise ComplexRootsError("degenerate k-equation: no isolated roots")
-        k = -c / b
-        return (k, k)
-
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        if not _negligible(disc, b * b, 4.0 * a * c):
-            raise ComplexRootsError(
-                "k-quadratic has complex roots (non-quantizable parameters)",
-                discriminant=disc,
-            )
-        disc = 0.0
-    root = math.sqrt(disc)
-    # stable quadratic roots
-    if b >= 0.0:
-        q = -0.5 * (b + root)
-    else:
-        q = -0.5 * (b - root)
-    k1 = q / a
-    k2 = c / q if q != 0.0 else k1
-    return (max(k1, k2), min(k1, k2))
 
 
 def _poly_sqrt(q, terms):
@@ -281,55 +166,6 @@ def _poly_sqrt(q, terms):
     if q0 < 0.0 and not _negligible(q0, m0):
         raise NotAPerfectSquareError("constant under-root expression is negative")
     return (math.sqrt(max(q0, 0.0)),)
-
-
-def pi_branches(ode: HypergeometricODE, k: float):
-    """The two linear pi polynomials (plus branch, minus branch) for this k."""
-    h = ode.half_difference()
-    p = _poly_sqrt(*_under_root(ode, k))
-    return _axpy(h, 1.0, p), _axpy(h, -1.0, p)
-
-
-def _weight_from_tau(sigma, tau):
-    """Solve (sigma*rho)' = tau*rho in closed form for quadratic sigma.
-
-    rho'/rho = (tau - sigma')/sigma decomposes by partial fractions.  Real
-    root pairs give power-law factors; an irreducible quadratic gives a
-    |sigma|^c1 factor times exp(q * arctan(linear)).  rho = 1 at the first of
-    s = 0, 1/2, 2 that is no root of sigma.
-    """
-    num = _axpy(tau, -1.0, _der(sigma))
-    if _degree(num) > 1:
-        raise ValidationError("tau - sigma' must be linear for a Pearson weight")
-    if _degree(sigma) < 2:
-        raise ValidationError("weights for sigma of degree < 2 are not supported")
-    s0c, s1c, s2c = (_coef(sigma, i) for i in range(3))
-
-    disc = s1c * s1c - 4.0 * s2c * s0c
-    if _negligible(disc, s1c * s1c, 4.0 * s2c * s0c):
-        raise ValidationError("sigma with a double root has no supported weight form")
-    if disc > 0.0:
-        root = math.sqrt(disc)
-        r1 = (-s1c - root) / (2.0 * s2c)
-        r2 = (-s1c + root) / (2.0 * s2c)
-        e1 = (_coef(num, 0) + _coef(num, 1) * r1) / (s2c * (r1 - r2))
-        e2 = (_coef(num, 0) + _coef(num, 1) * r2) / (s2c * (r2 - r1))
-        desc = WeightDescriptor(factors=(((-r1, 1.0), e1), ((-r2, 1.0), e2)))
-        roots = (r1, r2)
-    else:
-        c1 = _coef(num, 1) / (2.0 * s2c)
-        c0 = _coef(num, 0) - c1 * s1c
-        droot = math.sqrt(-disc)
-        desc = WeightDescriptor(
-            factors=(((s0c, s1c, s2c), c1),),
-            arctan_coeff=2.0 * c0 / droot,
-            arctan_arg=(s1c / droot, 2.0 * s2c / droot),
-        )
-        roots = ()
-    anchor = next(
-        s for s in (0.0, 0.5, 2.0) if not any(_negligible(s - r, s, r) for r in roots)
-    )
-    return replace(desc, log_scale=-float(desc.log_value(np.asarray(anchor))))
 
 
 def _regular_branch(ode: HypergeometricODE, n: int):
@@ -383,14 +219,6 @@ def reduce(ode: HypergeometricODE, n: int) -> NUReduction:
     branch, and NoBoundBranchError when no branch is regular at infinity.
     """
     return _branch_reduction(ode, *_regular_branch(ode, n))
-
-
-def level_constant(reduction: NUReduction, ode: HypergeometricODE, n: int) -> float:
-    """Lambda_n = -n tau' - n(n-1) sigma''/2 for the degree-n solution."""
-    if n < 0:
-        raise ValidationError("level index must be nonnegative")
-    sigma_pp = 2.0 * _coef(ode.sigma, 2)
-    return -n * reduction.tau_slope - 0.5 * n * (n - 1) * sigma_pp
 
 
 def solve_level(family, n: int, start: float, step: float) -> float:
@@ -448,8 +276,3 @@ def rodrigues_polynomial(sigma, tau, n: int) -> tuple:
     for m in range(n, 0, -1):
         q = _axpy(_mul(_axpy(tms, m, dsigma), q), 1.0, _mul(sigma, _der(q)))
     return q
-
-
-def rodrigues_coefficients(reduction: NUReduction, ode: HypergeometricODE, n: int) -> tuple:
-    """Rodrigues coefficients for the reduction's own weight and sigma."""
-    return rodrigues_polynomial(ode.sigma, reduction.tau, n)

@@ -21,7 +21,7 @@ import numpy.polynomial.polynomial as npoly
 from . import integrate, spectra
 from .errors import DomainError, NonNormalizableError, ValidationError
 from .model import DeformationModel, QuantumNumbers
-from .polynomials import Jacobi, Romanovski, poly_coefficients
+from .polynomials import poly_coefficients
 
 __all__ = [
     "RadialEigenstate",
@@ -48,7 +48,6 @@ class RadialEigenstate:
     qn: QuantumNumbers
     level: spectra.EnergyLevel
     params: spectra.ScaledParameters
-    family: object
     poly_coeffs: tuple
     domain: tuple
     log_norm_au: float
@@ -111,40 +110,39 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
     """Assemble and normalize the closed-form radial eigenstate.
 
     The branch root of a quantized level is delta = n; the reduction
-    engine's root is cross-checked against it.  The polynomial factor comes
-    from the Rodrigues generator of the state's weight.  Normalization uses
-    the flat measure int |psi|^2 r^2 dr over the radial domain (kept in this
-    one routine so the measure convention can be swapped centrally).
+    engine's root is cross-checked against it.  The polynomial factor is the
+    Rodrigues polynomial of that reduction's sigma and tau: associated Jacobi
+    for dS, Romanovski for AdS.  Normalization uses the flat measure
+    int |psi|^2 r^2 dr over the radial domain (kept in this one routine so
+    the measure convention can be swapped centrally).
     """
     level = spectra.energy(model, qn)
     params = spectra.ScaledParameters.for_level(model, qn)
 
-    delta_engine = abs(spectra.reduce_level(model, qn).root_poly[1])
+    reduction = spectra.reduce_level(model, qn)
+    delta_engine = abs(reduction.root_poly[1])
     if abs(delta_engine - qn.n) > 1e-9 * qn.n:
         raise ValidationError(
             f"branch root mismatch: quantized delta = n = {qn.n}, "
             f"engine {delta_engine!r}"
         )
 
-    d, eta = params.delta, params.eta
     if model.tau == 1:
         if tail_exponent(model, qn) >= -1.5:
             raise NonNormalizableError(
                 f"dS level (n={qn.n}, l={qn.l}) at lam={model.lam} is not square "
                 "integrable (tail exponent above the bound-state threshold)"
             )
-        family = Jacobi(a=-d + eta / (2.0 * d), b=-d - eta / (2.0 * d))
         domain = (0.0, math.inf)
     else:
-        family = Romanovski(alpha=-d, beta=eta / d)
         domain = (0.0, model.wall_radius())
 
-    coeffs = tuple(float(c) for c in poly_coefficients(family, qn.n_r))
+    coeffs = poly_coefficients(reduction.sigma, reduction.tau, qn.n_r)
 
     log_norm_au, sign = _normalize(model, qn, params, coeffs)
     return RadialEigenstate(
-        model=model, qn=qn, level=level, params=params, family=family,
-        poly_coeffs=coeffs, domain=domain, log_norm_au=log_norm_au, sign=sign,
+        model=model, qn=qn, level=level, params=params, poly_coeffs=coeffs,
+        domain=domain, log_norm_au=log_norm_au, sign=sign,
     )
 
 
@@ -284,8 +282,8 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     x = edge w^(-1/gamma), gamma = 2(A_a + A_b) - 2 with A the envelope rates
     (R ~ t^A at the tail; 2(A_a + A_b) - 1 for the operator measure's
     1/chi ~ 1/r), so that every power of w cancels and the integrand, formed
-    from the remainder log t0 = -log lam - 2 log edge - 2 log(s+1), tends to
-    a constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
+    from the remainder log t0 = log t - (2/gamma) log w with log t taken by
+    log1p where s >= 3, tends to a constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
     the wall; for "extended", the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
     error goal from the core's size.  The dS tail breaks at w = 2^(-k gamma),
     the images of x = edge 2^k: near the bound-state threshold gamma -> 0 and
@@ -330,9 +328,11 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
 
         def tail(w):
             # log t = log t0 + (2/gamma) log w, r = edge w^(-1/gamma): every
-            # power of w cancels, so the w-free remainder is all that is formed
-            s = np.sqrt(1.0 + np.exp(log_e0 + 2.0 * np.log(w) / gamma))
-            log_t0 = log_e0 - 2.0 * np.log(s + 1.0)
+            # power of w cancels, so the w-free remainder is all that is formed;
+            # log t ~ -2/s at tiny lam lies below the rounding of log e, hence log1p
+            lw = 2.0 * np.log(w) / gamma
+            s = np.sqrt(1.0 + np.exp(log_e0 + lw))
+            log_t0 = _ds_log_t(s, log_e0 + lw - 2.0 * np.log(s + 1.0)) - lw
             log_chi = np.log(s) - 0.5 * log_e0
             return in_r(s, log_t0, log_edge, log_edge - math.log(gamma), log_chi)
 

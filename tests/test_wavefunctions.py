@@ -11,9 +11,11 @@ from scipy import integrate
 from scipy.special import sph_harm_y
 
 from euph import spectra, wavefunctions as wf
+from euph.integrate import quad as euph_quad
 from euph.errors import DomainError, EuphError, NonNormalizableError, ValidationError
 from euph.model import SI, DeformationModel, QuantumNumbers
-from euph.polynomials import Jacobi, Romanovski
+
+from nu_reference import Romanovski, family_coefficients, jacobi_recurrence
 
 
 def ds(lam):
@@ -28,9 +30,6 @@ class TestBuildState:
     def test_ads_ground_is_pure_envelope(self):
         state = wf.build_state(ads(0.01), QuantumNumbers(1, 0))
         assert state.poly_coeffs == (1.0,)
-        assert isinstance(state.family, Romanovski)
-        assert state.family.alpha == pytest.approx(-1.0, rel=1e-12)
-        assert state.family.beta == pytest.approx(20.0, rel=1e-12)
         # envelope shape: psi * sqrt(r) proportional to
         # (sqrt(lam) r)^(delta - 1/2) * exp(eta/(2 delta) * atan s(r))
         lam, eta, d = 0.01, 20.0, 1.0
@@ -45,14 +44,31 @@ class TestBuildState:
 
     def test_ds_top_of_shell_has_constant_polynomial(self):
         state = wf.build_state(ds(0.01), QuantumNumbers(2, 1))
-        assert len(state.poly_coeffs) == 1
-        assert isinstance(state.family, Jacobi)
+        assert state.poly_coeffs == (1.0,)
 
     def test_ds_jacobi_parameters(self):
-        state = wf.build_state(ds(0.001), QuantumNumbers(2, 0))
-        eta = spectra.scaled_eta(ds(0.001))
-        assert state.family.a == pytest.approx(-2.0 + eta / 4.0, rel=1e-12)
-        assert state.family.b == pytest.approx(-2.0 - eta / 4.0, rel=1e-12)
+        # the polynomial is P_{n_r}^(a, b) with a = -n + eta/(2n), b = -n - eta/(2n),
+        # checked against the classical three-term recurrence
+        model = ds(0.001)
+        eta = spectra.scaled_eta(model)
+        x = np.array([1.05, 1.5, 3.0, 10.0])
+        for n, l in [(2, 0), (3, 0), (3, 1), (4, 0), (4, 2), (5, 1)]:
+            state = wf.build_state(model, QuantumNumbers(n, l))
+            a, b = -n + eta / (2.0 * n), -n - eta / (2.0 * n)
+            reference = np.array([jacobi_recurrence(n - l - 1, a, b, xi) for xi in x])
+            values = np.polynomial.polynomial.polyval(x, state.poly_coeffs)
+            assert np.max(np.abs(values - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.01, 0.05])
+    def test_ads_romanovski_parameters(self, lam):
+        # the polynomial is the Romanovski member with alpha = -n, beta = eta/n
+        model = ads(lam)
+        eta = spectra.scaled_eta(model)
+        for n in range(1, 6):
+            for l in range(n):
+                state = wf.build_state(model, QuantumNumbers(n, l))
+                reference = family_coefficients(Romanovski(-n, eta / n), n - l - 1)
+                assert state.poly_coeffs == pytest.approx(reference, rel=1e-10)
 
     def test_ds_non_normalizable_is_rejected(self):
         with pytest.raises(NonNormalizableError):
@@ -210,6 +226,98 @@ class TestNormalization:
         for l in range(n):
             state = wf.build_state(model, QuantumNumbers(n, l))
             assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-10, l
+
+class TestTinyLambdaDS:
+    # below lam ~ 1e-33 a0^-2 the Jacobi parameters a, b = -n +- eta/(2n)
+    # pass 2^53 n, so a state built from them loses a + b = -2n, and the
+    # overlap's tail loses log t ~ -2/s against log e ~ 140 unless it takes log1p
+
+    @pytest.mark.parametrize("decade", range(18, 74))
+    def test_nodes_and_norm(self, decade):
+        model = ds(10.0**-decade)
+        for n in range(1, 6):
+            for l in range(n):
+                state = wf.build_state(model, QuantumNumbers(n, l))
+                assert wf.count_nodes(state) == n - l - 1, (n, l)
+                assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-12, (n, l)
+
+    @pytest.mark.parametrize("lam", [1e-30, 1e-34, 1e-40, 1e-60, 1e-73])
+    def test_s_states_are_bohr(self, lam):
+        # the library's phase is positive toward the tail: -R_20 and +R_30
+        r = np.linspace(0.05, 60.0, 240)
+        bohr = {
+            2: -(1.0 - r / 2.0) * np.exp(-r / 2.0) / math.sqrt(2.0),
+            3: 2.0 / (3.0 * math.sqrt(3.0)) * (1.0 - 2.0 * r / 3.0 + 2.0 * r * r / 27.0)
+            * np.exp(-r / 3.0),
+        }
+        for n, reference in bohr.items():
+            values = wf.radial_eval(wf.build_state(ds(lam), QuantumNumbers(n, 0)), r)
+            assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference)), n
+
+
+def _hellmann_feynman_slope(state):
+    """dE/dlam of a state (Hartree units) from the oracle's radial form A u = kappa B u.
+
+    A = -d^2/dr^2 - W with W = V_eff/chi^2, B = 1/chi^2, kappa = 2E - tau lam/2
+    and u = r chi^(1/2) radial_eval.  Only W and B depend on lam, so
+    dkappa/dlam = int u^2 (-dW/dlam + kappa tau r^2/chi^4) / int u^2/chi^2 and
+    dE/dlam = (dkappa/dlam + tau/2)/2.  Every term is O(1), so the slope sees
+    the deformation in doubles at any lam.  Quadrature on [0, 80 n^2].
+    """
+    model, n = state.model, state.qn.n
+    tau, lam = model.tau, model.lam_au
+    kappa = 2.0 * state.energy / model.units.hartree_energy - tau * lam / 2.0
+
+    def weights(r):
+        chi2 = 1.0 + tau * lam * r * r
+        chi = np.sqrt(chi2)
+        # W = -l(l+1)/r^2 + 2/(r chi) - tau lam/(2 chi^2) + lam (lam r^2 - 2 tau)/(4 chi^4)
+        dw = (
+            -tau * r / (chi * chi2)
+            - tau / (2.0 * chi2)
+            + lam * r * r / (2.0 * chi2**2)
+            + (lam * r * r - tau) / (2.0 * chi2**2)
+            - tau * r * r * (lam * lam * r * r - 2.0 * tau * lam) / (2.0 * chi2**3)
+        )
+        u2 = r * r * chi * (wf.radial_eval(state, r) * model.units.bohr_radius**1.5) ** 2
+        return u2, dw, chi2
+
+    def numerator(r):
+        u2, dw, chi2 = weights(r)
+        return u2 * (-dw + kappa * tau * r * r / chi2**2)
+
+    def denominator(r):
+        u2, _, chi2 = weights(r)
+        return u2 / chi2
+
+    points = [0.0] + [f * n * n for f in (0.1, 1.0, 4.0, 16.0, 80.0)]
+    dkappa = euph_quad(numerator, points)[0] / euph_quad(denominator, points)[0]
+    return 0.5 * (dkappa + 0.5 * tau)
+
+
+class TestHellmannFeynmanSlope:
+    # E is linear in lam with slope -tau (n^2 - l(l+1) - 1)/2; the slope from
+    # the states checks their shape where every energy check below ~1e-17
+    # sees only the Bohr term
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log10_lam=st.floats(-73.0, -6.0),
+        tau=st.sampled_from([1, -1]),
+        n=st.integers(1, 4),
+    )
+    @example(log10_lam=-40.0, tau=1, n=3)
+    @example(log10_lam=-73.0, tau=1, n=2)
+    @example(log10_lam=-34.0, tau=1, n=4)
+    def test_slope_matches_closed_form(self, log10_lam, tau, n):
+        model = DeformationModel(tau, 10.0**log10_lam)
+        if tau == -1 and model.wall_radius() <= 2.0 * 80.0 * n * n:
+            return  # the r-form diverges at a wall this close
+        for l in range(n):
+            state = wf.build_state(model, QuantumNumbers(n, l))
+            slope = -tau * (n * n - l * (l + 1) - 1) / 2.0
+            error = abs(_hellmann_feynman_slope(state) - slope)
+            assert error <= 1e-12 * max(1.0, abs(slope)), (l, error)
+
 
 class TestShapes:
     def test_ds_tail_decays_monotonically(self):
