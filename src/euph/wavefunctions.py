@@ -282,8 +282,9 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     x = edge w^(-1/gamma), gamma = 2(A_a + A_b) - 2 with A the envelope rates
     (R ~ t^A at the tail; 2(A_a + A_b) - 1 for the operator measure's
     1/chi ~ 1/r), so that every power of w cancels and the integrand, formed
-    from the remainder log t0 = log t - (2/gamma) log w with log t taken by
-    log1p where s >= 3, tends to a constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
+    from the remainder log t0 = log t - (2/gamma) log w = log e0 - 2 log(s+1)
+    (e0 = e at the edge; log1p less (2/gamma) log w where s > 3), tends to a
+    constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
     the wall; for "extended", the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
     error goal from the core's size.  The dS tail breaks at w = 2^(-k gamma),
     the images of x = edge 2^k: near the bound-state threshold gamma -> 0 and
@@ -325,14 +326,19 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
         gamma = 2.0 * rates - (2.0 if measure == "flat" else 1.0)
         log_edge = math.log(edge)
         log_e0 = -math.log(lam) - 2.0 * log_edge  # log e at the edge
+        far = log_e0 > math.log(8.0)  # s > 3 on the tail's inner part
 
         def tail(w):
             # log t = log t0 + (2/gamma) log w, r = edge w^(-1/gamma): every
-            # power of w cancels, so the w-free remainder is all that is formed;
-            # log t ~ -2/s at tiny lam lies below the rounding of log e, hence log1p
+            # power of w cancels, so the w-free remainder is all that is formed.
+            # Where s > 3, log t ~ -2/s at tiny lam lies below the rounding of
+            # log e, so there it is log1p less (2/gamma) log w, |that| < log e0
             lw = 2.0 * np.log(w) / gamma
             s = np.sqrt(1.0 + np.exp(log_e0 + lw))
-            log_t0 = _ds_log_t(s, log_e0 + lw - 2.0 * np.log(s + 1.0)) - lw
+            log_t0 = log_e0 - 2.0 * np.log(s + 1.0)
+            if far:
+                big = s > 3.0
+                log_t0[big] = np.log1p(-2.0 / (s[big] + 1.0)) - lw[big]
             log_chi = np.log(s) - 0.5 * log_e0
             return in_r(s, log_t0, log_edge, log_edge - math.log(gamma), log_chi)
 

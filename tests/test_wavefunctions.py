@@ -219,13 +219,16 @@ class TestNormalization:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_norm_next_to_the_ds_threshold(self, n):
-        # a relative 1e-6 below lam = 1/(n^2 (n + 1/2)^2) the norm's density
-        # falls off as r^(-1 - gamma), gamma = (n + 1/2) 1e-6: half of the
-        # tail's mass lies beyond r = edge 2^(1/gamma), past the float range
-        model = DeformationModel(1, (1.0 - 1e-6) / (n * n * (n + 0.5) ** 2))
-        for l in range(n):
-            state = wf.build_state(model, QuantumNumbers(n, l))
-            assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-10, l
+        # a relative eps below lam = 1/(n^2 (n + 1/2)^2) the norm's density
+        # falls off as r^(-1 - gamma), gamma = (n + 1/2) eps: half of the
+        # tail's mass lies beyond r = edge 2^(1/gamma), past the float range,
+        # and (2/gamma) log w reaches 1e12, so the tail must not form it
+        # where it cancels
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            model = DeformationModel(1, (1.0 - eps) / (n * n * (n + 0.5) ** 2))
+            for l in range(n):
+                state = wf.build_state(model, QuantumNumbers(n, l))
+                assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-13, (eps, l)
 
 class TestTinyLambdaDS:
     # below lam ~ 1e-33 a0^-2 the Jacobi parameters a, b = -n +- eta/(2n)
