@@ -9,8 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-convergence failure.
 
 The closed-form commands (spectrum, tables, figure1, figure2, bound) run on
 the standard library alone; only wavefunction and verify import numpy,
-inside their command functions, and verify alone loads the oracle's LAPACK
-solver.
+inside their command functions.  No command loads scipy.
 """
 
 from __future__ import annotations
@@ -485,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_wavefunction)
 
-    p = sub.add_parser("verify", allow_abbrev=False, help="closed forms against the FD oracle")
+    p = sub.add_parser("verify", allow_abbrev=False, help="closed forms against the spectral oracle")
     common(p, model_flag=False)
     p.add_argument("--lambdas", required=True, help="comma-separated deformations")
     p.add_argument("--n-max", type=int, default=3)

@@ -167,8 +167,8 @@ def test_closed_form_commands_import_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_library_imports_no_scipy(tmp_path):
-    # only a finite-difference solve needs scipy: importing the oracle, its
-    # commutator check and the benchmark tracer's attribute lookups load none
+    # the library loads no scipy: not on import, not for the benchmark
+    # tracer's attribute lookups, not for a spectral solve or a sweep
     root = Path(__file__).resolve().parents[1]
     script = textwrap.dedent(f"""
         import importlib, importlib.util, sys
@@ -179,16 +179,18 @@ def test_library_imports_no_scipy(tmp_path):
         def scipy_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-        model = DeformationModel(1, 1e-3)
-        oracle.commutator_residual(model, "gaussian")
         spec = importlib.util.spec_from_file_location("spans", {str(root / "perfbench" / "spans.py")!r})
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
         for mod, attr, _ in spans.TARGETS:
             getattr(importlib.import_module("euph." + mod), attr)
+        # the meshes are built on the first solve, not on import
+        assert oracle._laguerre_mesh.cache_info().currsize == 0
+        assert oracle._legendre_mesh.cache_info().currsize == 0
+        oracle.fd_spectrum(DeformationModel(1, 1e-3), 0, 1)
+        report = oracle.crosscheck_report([1e-3], 2)
+        assert report.summary["errors"] == 0, report.summary
         assert not scipy_modules(), scipy_modules()
-        oracle.fd_spectrum(model, 0, 1)
-        assert "scipy.linalg" in sys.modules
     """)
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,

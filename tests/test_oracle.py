@@ -1,11 +1,10 @@
-import math
-
-import numpy as np
 import pytest
 
 from euph import oracle, spectra
 from euph.errors import ValidationError
 from euph.model import DeformationModel, QuantumNumbers
+
+from commutator_reference import commutator_residual
 
 
 def ds(lam):
@@ -42,11 +41,13 @@ class TestOracleStructure:
             spec = oracle.fd_spectrum(model, 0, 4)
             assert spec.node_counts() == [0, 1, 2, 3]
 
-    def test_richardson_ratio_second_order(self):
+    def test_bound_state_estimates_within_the_gate(self):
+        # every level here is bound (dS: lam < 1/n^4)
         for model in (ds(0.001), ads(0.01)):
             spec = oracle.fd_spectrum(model, 0, 3)
-            for ratio in spec.convergence_estimate:
-                assert 2.5 <= ratio <= 6.0
+            assert len(spec.convergence_estimate) == 3
+            for estimate in spec.convergence_estimate:
+                assert estimate <= oracle.ESTIMATE_BOUND
 
     def test_eigenvalues_ascending(self):
         spec = oracle.fd_spectrum(ads(0.01), 1, 3)
@@ -72,18 +73,18 @@ class TestWallTreatment:
 class TestCommutator:
     def test_undeformed_limit_is_pure_stencil_error(self):
         model = ads(1e-10)
-        assert oracle.commutator_residual(model, "gaussian") < 1e-8
+        assert commutator_residual(model, "gaussian") < 1e-8
 
     @pytest.mark.parametrize("fn", ["gaussian", "gaussian_x", "gaussian_x2"])
     @pytest.mark.parametrize("lam", [0.01, 0.1])
     @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
     def test_catalog(self, tau, lam, fn):
         model = DeformationModel(tau, lam)
-        assert oracle.commutator_residual(model, fn) < 1e-6
+        assert commutator_residual(model, fn) < 1e-6
 
     def test_unknown_function(self):
         with pytest.raises(ValidationError):
-            oracle.commutator_residual(ds(0.01), "lorentzian")
+            commutator_residual(ds(0.01), "lorentzian")
 
 
 class TestCrosscheck:
@@ -150,125 +151,114 @@ class TestCrosscheck:
 
 
 class TestConvergenceGuard:
-    def test_non_second_order_richardson_raises(self, monkeypatch):
-        from euph.errors import ConvergenceError
+    def test_degraded_check_solve_is_an_error_cell(self, monkeypatch):
+        solve = oracle.eigh_tridiagonal
 
-        original = oracle._solve_radial_grid
+        def degraded(matrix, vectors=True):
+            # the eigenvalues-only solve at order 3N/2 drifts by 1e-3
+            return solve(matrix, True) if vectors else solve(matrix, False) * (1.0 + 1e-3)
 
-        def degrade(shift):
-            # solve N, 2N, 4N are calls 1, 2, 3; shift(call) is added to the energies
-            calls = []
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", degraded)
+        report = oracle.crosscheck_report([0.001], 2)
+        assert len(report.rows) == 6
+        for row in report.rows:
+            assert row["status"].startswith("error: mesh estimate"), row
+        assert report.summary["errors"] == 6
 
-            def degraded(*args, **kwargs):
-                energies, vecs = original(*args, **kwargs)
-                calls.append(None)
-                return energies + shift(len(calls)), vecs
-
-            monkeypatch.setattr(oracle, "_solve_radial_grid", degraded)
-
-        # corrupt only the refined solves so the ratio leaves [2, 6]
-        degrade(lambda call: 1e-3 * call if call > 1 else 0.0)
-        with pytest.raises(ConvergenceError):
-            oracle.fd_spectrum(ds(0.001), 0, 1)
-
-        # the gate covers every state, also dS state 2 at lam = 0.01, which
-        # lies above the continuum edge -sqrt(lam)
-        degrade(lambda call: np.array([0.0, 0.0, 1e-3 if call == 3 else 0.0]))
-        with pytest.raises(ConvergenceError, match="state 2: error-reduction ratio"):
-            oracle.fd_spectrum(ds(0.01), 0, 3)
+    def test_unbound_level_does_not_fail_its_block(self):
+        # dS lam = 0.01: (4,0) lies in the continuum, where the mesh has a
+        # pseudo-continuum and the estimate is large; the bound (1,0) and
+        # (2,0) of the same block stay ok and the labels of (3,0) and (4,0)
+        # stand
+        model = ds(0.01)
+        spec = oracle.fd_spectrum(model, 0, 4)
+        assert spec.convergence_estimate[3] > oracle.ESTIMATE_BOUND
+        assert max(spec.convergence_estimate[:2]) <= oracle.ESTIMATE_BOUND
+        report = oracle.crosscheck_report([0.01], 4)
+        labels = {r["n"]: r["status"] for r in report.rows if r["model"] == "ds" and r["l"] == 0}
+        assert labels == {
+            1: "ok",
+            2: "ok",
+            3: "above-threshold",
+            4: "closed form not normalizable",
+        }
 
 
 class TestEighAttribute:
-    """The N-grid eigensolve goes through the module attribute
-    ``oracle.eigh_tridiagonal``, the grid samples first: perfbench times it by
+    """Every mesh solve goes through the module attribute
+    ``oracle.eigh_tridiagonal``, the matrix first: perfbench times it by
     substituting that attribute and counts ``len(args[0])`` points."""
 
     @pytest.mark.parametrize(
         "model, count, coordinate",
-        [(ds(1e-3), 3, "r"), (ads(0.01), 2, "t")],
-        ids=["radial", "ads-t"],
+        [(ds(1e-3), 3, "theta"), (ads(0.01), 2, "t"), (ads(1e-6), 2, "phi")],
+        ids=["theta", "t", "phi"],
     )
-    def test_one_call_per_spectrum_on_the_n_grid(self, monkeypatch, model, count, coordinate):
-        solved, refined = [], []
-        eigh, refine = oracle.eigh_tridiagonal, oracle._refine_eigenvalues
+    def test_one_seam_call_per_mesh_solve(self, monkeypatch, model, count, coordinate):
+        calls = []
+        solve = oracle.eigh_tridiagonal
 
-        def recording_eigh(*args, **kwargs):
-            solved.append(len(args[0]))
-            return eigh(*args, **kwargs)
+        def recording(*args, **kwargs):
+            matrix = args[0]
+            assert matrix.shape == (len(matrix), len(matrix))
+            calls.append((len(matrix), args[1:] + tuple(kwargs.values())))
+            return solve(*args, **kwargs)
 
-        def recording_refine(dd, ee, seeds):
-            refined.append(len(dd))
-            return refine(dd, ee, seeds)
-
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording_eigh)
-        monkeypatch.setattr(oracle, "_refine_eigenvalues", recording_refine)
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
         spec = oracle.fd_spectrum(model, 0, count)
         assert spec.coordinate == coordinate
-        assert solved == [4000]
-        assert refined == [8000, 16000]
+        assert calls == [(100, (True,)), (150, (False,))]
 
 
-class TestSeededRefinement:
-    @pytest.mark.parametrize(
-        "lam, l",
-        [(0.03, 3), (0.028002852016093403, 2)],
-        ids=["lam0.03-l3", "lam0.028-l2"],
-    )
-    def test_ratio_free_of_bisection_round_off(self, lam, l):
-        # bisection to an absolute ulp*||T|| once pushed these ratios past 6
-        spec = oracle.fd_spectrum(ads(lam), l, 1)
-        assert abs(spec.convergence_estimate[0] - 4.0) < 0.1
+def shift(model, n, e):
+    """E - E_Bohr in Hartree."""
+    return e / model.units.hartree_energy + 0.5 / n**2
 
-    @staticmethod
-    def sturm_counts(dd, ee, x):
-        """Eigenvalues of (dd, ee) below each x: Sturm counts in long double."""
-        d, e2 = dd.astype(np.longdouble), ee.astype(np.longdouble) ** 2
-        q = d[0] - x
-        below = (q < 0).astype(int)
-        for i in range(1, len(d)):
-            q = d[i] - x - e2[i - 1] / q
-            below += q < 0
-        return below
 
-    @pytest.mark.parametrize(
-        "model, l, count",
-        [(ds(1e-3), 0, 4), (ads(1e-4), 1, 3), (ads(0.03), 3, 1)],
-        ids=["ds-radial", "ads-t-small", "ads-t-wall"],
-    )
-    def test_refined_eigenvalues_are_accurate(self, monkeypatch, model, l, count):
-        if model.tau == 1:
-            def solve(n_points, seeds=None):
-                return oracle._solve_radial_grid(model, l, count, n_points, 84.0, seeds)
-        else:
-            def solve(n_points, seeds=None):
-                return oracle._solve_ads_natural(model, l, count, n_points, seeds)
+class TestShiftResolution:
+    """The oracle resolves the deformation shift E - E_Bohr, not only E."""
 
-        refined = []
-        original = oracle._refine_eigenvalues
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
+    def test_every_bound_cell(self, tau, lam):
+        model = DeformationModel(tau, lam)
+        checked = 0
+        for l in range(4):
+            spec = oracle.fd_spectrum(model, l, 4 - l)
+            for k in range(4 - l):
+                n = l + 1 + k
+                if tau == 1 and lam >= 1.0 / n**4:
+                    continue  # in the dS continuum
+                want = shift(model, n, spectra.energy(model, QuantumNumbers(n, l)).energy)
+                got = shift(model, n, spec.eigenvalues[k])
+                if want == 0.0:
+                    assert abs(got) <= 1e-12, (n, l)
+                else:
+                    assert abs(got - want) <= 1e-6 * abs(want), (n, l, got, want)
+                checked += 1
+        assert checked >= 6
 
-        def recording(dd, ee, seeds):
-            vals = original(dd, ee, seeds)
-            refined.append((dd, ee, vals))
-            return vals
+    @pytest.mark.parametrize("lam", [1e-4, 1.5e-4, 2.08e-4])
+    def test_ads_l1_blocks_are_ok(self, lam):
+        # these cells once failed a Richardson gate of the finite-difference
+        # oracle as error cells
+        report = oracle.crosscheck_report([lam], 4)
+        labels = {r["n"]: r["status"] for r in report.rows if r["model"] == "ads" and r["l"] == 1}
+        assert labels == {2: "ok", 3: "ok", 4: "ok"}
 
-        monkeypatch.setattr(oracle, "_refine_eigenvalues", recording)
-        solve(4000, solve(2000)[0])
-        ((dd, ee, vals),) = refined
-        assert len(dd) == 4000
-        # eigenvalue k lies within 1e-12 (relative) of vals[k]
-        vals = vals.astype(np.longdouble)
-        k = np.arange(count)
-        assert list(self.sturm_counts(dd, ee, vals - 1e-12 * abs(vals))) == list(k)
-        assert list(self.sturm_counts(dd, ee, vals + 1e-12 * abs(vals))) == list(k + 1)
 
-    def test_seed_at_the_next_eigenvalue_raises(self):
-        from euph.errors import ConvergenceError
+class TestWholeRange:
+    """Down to the spectroscopic bound (~3e-16) and beyond, on the phi-mesh
+    for AdS, the oracle still gives every level."""
 
-        model = ds(1e-3)
-        energies, _ = oracle._solve_radial_grid(model, 0, 3, 2000, 40.0)
-        good, _ = oracle._solve_radial_grid(model, 0, 2, 4000, 40.0, energies[:2])
-        assert np.all(np.abs(good - energies[:2]) < 1e-3)
-        with pytest.raises(ConvergenceError, match="sign changes"):
-            oracle._solve_radial_grid(model, 0, 1, 4000, 40.0, energies[1:2])
-        with pytest.raises(ConvergenceError, match="sign changes"):
-            oracle._solve_radial_grid(model, 0, 2, 4000, 40.0, energies[[0, 2]])
+    @pytest.mark.parametrize("lam", [1e-12, 3.3e-16, 1e-30])
+    @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
+    def test_levels(self, tau, lam):
+        model = DeformationModel(tau, lam)
+        for l in range(3):
+            spec = oracle.fd_spectrum(model, l, 3 - l)
+            assert spec.coordinate == ("theta" if tau == 1 else "phi")
+            assert spec.node_counts() == list(range(3 - l))
+            for k, e in enumerate(spec.eigenvalues):
+                want = spectra.energy(model, QuantumNumbers(l + 1 + k, l)).energy
+                assert abs(e - want) <= 1e-10 * abs(want), (l + 1 + k, l)
