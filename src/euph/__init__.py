@@ -9,7 +9,7 @@ Library layout:
 - ``integrate``: the one quadrature module (adaptive Gauss-Kronrod, Gauss rules)
 - ``spectra``: closed-form energies, critical and inversion deformations, bounds
 - ``wavefunctions``: radial eigenfunctions, nodes, normalization, spherical harmonics
-- ``oracle``: independent finite-difference eigensolver and commutator checks
+- ``oracle``: independent Lagrange-mesh spectral eigensolver and crosscheck sweeps
 - ``cli``: deterministic CSV/JSON exports of every table and figure dataset
 """
 

@@ -46,5 +46,5 @@ class NonNormalizableError(EuphError):
 
 
 class ConvergenceError(EuphError):
-    """Numerical scheme did not converge: a Richardson ratio off the expected
-    order, or a quadrature past its panel cap."""
+    """Numerical scheme did not converge: a quadrature with a non-finite
+    integrand or past its panel cap."""

@@ -14,13 +14,15 @@ Table 4.1):
   phi > pi/2 continues the radial line through it.
 
 Each operator is solved on a Lagrange mesh (D. Baye, Phys. Rep. 565 (2015)
-1) as one dense symmetric eigenproblem of order N = 100.  The meshes use the
-coefficients of the radial equation only, never a closed-form energy, so
-agreement is a genuine cross-check.
+1) as one dense symmetric eigenproblem, of order N = 40 to 100 as the block
+needs (``_mesh_order``).  The meshes use the coefficients of the radial
+equation only, never a closed-form energy, so agreement is a genuine
+cross-check.
 
 - dS, and AdS whose wall lies beyond the mesh (h x_N < pi/2): a regularized
-  Lagrange-Laguerre mesh theta (or phi) = h x_i, h = min(sqrt(lam), 0.1),
-  with the kinetic matrix in the Gauss approximation.
+  Lagrange-Laguerre mesh theta (or phi) = h x_i, h = min(sqrt(lam), 0.1)
+  (x 1.5 on the order-40 mesh), with the kinetic matrix in the Gauss
+  approximation.
 - AdS whose wall is near the atom: a Lagrange-Legendre mesh in the angle
   t = arctan s = pi/2 - phi on (-pi/2, pi/2), in weak form on
   G = R/sqrt(cos t), which is smooth at both images of the origin:
@@ -29,7 +31,7 @@ agreement is a genuine cross-check.
   E = (lam/2)(eps - 1/2).  The wall t = 0 is a regular interior point.
 
 The eigenvalues are solved again on the mesh of order 3N/2, and each
-state's |E_N - E_3N/2| / |E_N| is its error estimate.  Mesh coefficients
+state's |E_N - E_3N/2| in Hartree is its error estimate.  Mesh coefficients
 have the sign of the wavefunction at the nodes, so their sign changes count
 its nodes.
 
@@ -59,13 +61,12 @@ __all__ = [
     "CrosscheckReport",
 ]
 
-# mesh order of the reported solve, and of the eigenvalues-only check solve
-_N = 100
-_N_CHECK = 3 * _N // 2
-# an ok crosscheck cell whose error estimate exceeds this becomes an error
-# cell.  Over 40 lam in [1e-4, 3e-2], n <= 4, the ok cells measure at most
-# 1.3e-10, while dS levels in or next to the continuum, which a mesh turns
-# into a pseudo-continuum, reach 1e-2; hence a bound per state, not per block
+# an ok crosscheck cell whose error estimate exceeds this times |E_Bohr(n)|
+# = 1/(2 n^2) Ha becomes an error cell.  The estimate is absolute, so it
+# stays finite where a level crosses E = 0 (the AdS critical deformations).
+# dS levels in or next to the continuum, which a mesh turns into a
+# pseudo-continuum, exceed it by orders of magnitude; hence a bound per
+# state, not per block
 ESTIMATE_BOUND = 1e-6
 # coefficients below this fraction of max|row| carry no sign
 _NODE_TOL = 1e-8
@@ -80,7 +81,7 @@ class OracleSpectrum:
     eigenvalues: tuple  # energies, ascending
     eigenvectors: np.ndarray  # row k: mesh coefficients of state k
     coordinate: str  # "theta" (dS), "phi" (AdS, far wall) or "t" (AdS, near wall)
-    convergence_estimate: tuple  # per state |E_N - E_3N/2| / |E_N|
+    convergence_estimate: tuple  # per state |E_N - E_3N/2| in Hartree
 
     def node_counts(self):
         return [_sign_changes(row) for row in self.eigenvectors]
@@ -140,13 +141,34 @@ def _legendre_mesh(n):
     return _frozen(x, w, deriv)
 
 
-def _laguerre_step(model):
-    return min(math.sqrt(model.lam_au), 0.1)
+def _mesh_order(model, l, count, coordinate):
+    """Order N of the block's mesh and, on the Laguerre meshes, its step h.
+
+    Blocks up to n = 4 take an order measured to resolve each bound level's
+    shift E - E_Bohr as well as order 100 does: 40, or on the t-mesh 50 and
+    70 as lam falls to 3e-4.  The order-40 Laguerre step is
+    1.5 h, which puts the basis decay e^(-x/2) between those of levels 2
+    and 4.  A dS level about to leave the spectrum (its Jacobi parameter
+    1/(n sqrt(lam)) - n in (0, 1)) spreads beyond that mesh, so its block,
+    like every other, keeps order 100 and h = min(sqrt(lam), 0.1).
+    """
+    lam = model.lam_au
+    h = min(math.sqrt(lam), 0.1)
+    if l + count <= 4:
+        if coordinate == "t":
+            for order, lam_min in ((40, 3e-3), (50, 1e-3), (70, 3e-4)):
+                if lam >= lam_min:
+                    return order, h
+        elif model.tau == -1 or not any(
+            0.0 < 1.0 / (n * math.sqrt(lam)) - n < 1.0 for n in range(l + 1, l + count + 1)
+        ):
+            return 40, 1.5 * h
+    return 100, h
 
 
-def _mesh_problem(model, l, coordinate, n):
-    """Symmetric mesh matrix of order n, and (a, b) with E = a e + b in
-    Hartree for each of its eigenvalues e."""
+def _mesh_problem(model, l, coordinate, n, h):
+    """Symmetric mesh matrix of order n (Laguerre step h), and (a, b) with
+    E = a e + b in Hartree for each of its eigenvalues e."""
     lam = model.lam_au
     eta = spectra.scaled_eta(model)
     if coordinate == "t":
@@ -159,7 +181,6 @@ def _mesh_problem(model, l, coordinate, n):
         matrix = stiffness.T @ stiffness - np.diag(potential / (c * c))
         return matrix, 0.5 * lam, -0.25 * lam
     # the Laguerre forms times h^2, which keeps every entry O(1) at any lam
-    h = _laguerre_step(model)
     x, kinetic = _laguerre_mesh(n)
     angle = h * x
     offset = (l + 0.5) ** 2 + 0.75
@@ -173,12 +194,13 @@ def _mesh_problem(model, l, coordinate, n):
 
 
 def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
-    """Lowest ``count`` radial energies and mesh eigenvectors, N = 100.
+    """Lowest ``count`` radial energies and mesh eigenvectors.
 
     The mesh is the theta-mesh for dS; for AdS, the phi-mesh while its last
-    node lies inside the wall, the t-mesh otherwise.  The eigenvalues are
-    solved again at order 3N/2, and each state's relative change is stored
-    as its error estimate.
+    node lies inside the wall, the t-mesh otherwise.  Its order N comes from
+    the block (``_mesh_order``).  The eigenvalues are solved again at order
+    3N/2, and each state's change in Hartree is stored as its error
+    estimate.
     """
     if count < 1 or count > 10:
         raise ValidationError("count must lie in [1, 10]")
@@ -190,18 +212,18 @@ def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
     else:
         # the Legendre t-mesh spreads its nodes over the whole continued
         # line, the Laguerre phi-mesh over the atom; the atom is resolved by
-        # the latter while the wall lies beyond its last node
-        inside = _laguerre_step(model) * _laguerre_mesh(_N)[0][-1] < 0.5 * math.pi
-        coordinate = "phi" if inside else "t"
+        # the latter while the wall lies beyond the last node of the
+        # phi-mesh that the block would use
+        order, h = _mesh_order(model, l, count, "phi")
+        coordinate = "phi" if h * _laguerre_mesh(order)[0][-1] < 0.5 * math.pi else "t"
+    order, h = _mesh_order(model, l, count, coordinate)
 
-    matrix, a, b = _mesh_problem(model, l, coordinate, _N)
+    matrix, a, b = _mesh_problem(model, l, coordinate, order, h)
     values, vectors = eigh_tridiagonal(matrix, True)
     energies = [a * e + b for e in values[:count]]
-    matrix, a, b = _mesh_problem(model, l, coordinate, _N_CHECK)
+    matrix, a, b = _mesh_problem(model, l, coordinate, 3 * order // 2, h)
     checks = [a * e + b for e in eigh_tridiagonal(matrix, False)[:count]]
-    estimates = tuple(
-        float(abs(e - c) / abs(e)) if e else math.inf for e, c in zip(energies, checks)
-    )
+    estimates = tuple(float(abs(e - c)) for e, c in zip(energies, checks))
 
     e_h = model.units.hartree_energy
     return OracleSpectrum(
@@ -250,9 +272,9 @@ def _crosscheck_cell_block(model, l, n_max, threshold):
                 status = "closed form not normalizable"
         except EuphError as exc:
             status = f"error: {exc}"
-        estimate = spec.convergence_estimate[k]
-        if status == "ok" and estimate > ESTIMATE_BOUND:
-            status = f"error: mesh estimate {estimate:.2e} exceeds {ESTIMATE_BOUND:.0e}"
+        estimate, bound = spec.convergence_estimate[k], ESTIMATE_BOUND / (2 * n * n)
+        if status == "ok" and estimate > bound:
+            status = f"error: mesh estimate {estimate:.2e} Ha exceeds {bound:.2e}"
         rows.append(_row(model, l, n, e_closed, e_mesh, nodes_closed, nodes_mesh[k], status))
     return rows
 

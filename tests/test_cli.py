@@ -386,6 +386,23 @@ class TestVerify:
         assert not any(st.startswith("error") for st in statuses)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "n, l", [(n, l) for n in range(2, 5) for l in range(n) if n * n - l * (l + 1) > 1]
+    )
+    def test_critical_deformations_pass(self, tmp_path, n, l):
+        # at lam_c = 1/(n^2 d) the AdS level (n, l) lies at E = 0, where an
+        # error estimate relative to E would explode
+        lam = 1.0 / (n * n * (n * n - l * (l + 1) - 1))
+        out = tmp_path / "verify.json"
+        code = run(["verify", "--lambdas", repr(lam), "--n-max", "4", "--format", "json",
+                    "--output", str(out)])
+        rows = json.loads(out.read_text())["rows"]
+        row = next(r for r in rows if r[0] == "ads" and r[2:4] == [n, l])
+        assert row[4] == 0.0
+        assert row[-1] == "ok"
+        assert abs(row[5]) <= 1e-12
+        assert code == 0
+
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "verify.csv"
         code = run(["verify", "--lambdas", "0.01", "--n-max", "2",

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from euph import oracle, spectra
@@ -42,12 +45,13 @@ class TestOracleStructure:
             assert spec.node_counts() == [0, 1, 2, 3]
 
     def test_bound_state_estimates_within_the_gate(self):
-        # every level here is bound (dS: lam < 1/n^4)
+        # every level here is bound (dS: lam < 1/n^4); the gate is
+        # ESTIMATE_BOUND x |E_Bohr(n)| in Hartree
         for model in (ds(0.001), ads(0.01)):
             spec = oracle.fd_spectrum(model, 0, 3)
             assert len(spec.convergence_estimate) == 3
-            for estimate in spec.convergence_estimate:
-                assert estimate <= oracle.ESTIMATE_BOUND
+            for n, estimate in enumerate(spec.convergence_estimate, start=1):
+                assert estimate <= oracle.ESTIMATE_BOUND / (2 * n * n)
 
     def test_eigenvalues_ascending(self):
         spec = oracle.fd_spectrum(ads(0.01), 1, 3)
@@ -190,11 +194,18 @@ class TestEighAttribute:
     substituting that attribute and counts ``len(args[0])`` points."""
 
     @pytest.mark.parametrize(
-        "model, count, coordinate",
-        [(ds(1e-3), 3, "theta"), (ads(0.01), 2, "t"), (ads(1e-6), 2, "phi")],
-        ids=["theta", "t", "phi"],
+        "model, l, count, coordinate, order",
+        [
+            (ds(1e-3), 0, 3, "theta", 40),
+            (ads(0.01), 0, 2, "t", 40),
+            (ads(1e-6), 0, 2, "phi", 40),
+            # (3,0) at dS 0.01 is about to leave the spectrum (lam < 1/3^4)
+            (ds(0.01), 0, 3, "theta", 100),
+            (ads(1e-3), 2, 3, "t", 100),  # up to n = 5
+        ],
+        ids=["theta", "t", "phi", "ds-window", "n5"],
     )
-    def test_one_seam_call_per_mesh_solve(self, monkeypatch, model, count, coordinate):
+    def test_one_seam_call_per_mesh_solve(self, monkeypatch, model, l, count, coordinate, order):
         calls = []
         solve = oracle.eigh_tridiagonal
 
@@ -205,9 +216,9 @@ class TestEighAttribute:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
-        spec = oracle.fd_spectrum(model, 0, count)
+        spec = oracle.fd_spectrum(model, l, count)
         assert spec.coordinate == coordinate
-        assert calls == [(100, (True,)), (150, (False,))]
+        assert calls == [(order, (True,)), (3 * order // 2, (False,))]
 
 
 def shift(model, n, e):
@@ -237,6 +248,38 @@ class TestShiftResolution:
                     assert abs(got - want) <= 1e-6 * abs(want), (n, l, got, want)
                 checked += 1
         assert checked >= 6
+
+    def test_estimate_flags_every_unresolved_cell(self):
+        # a bound cell whose shift the mesh misses must fail the estimate's
+        # gate; the only such cells are dS levels about to leave the
+        # spectrum (Jacobi parameter 1/(n sqrt(lam)) - n below 1), and the
+        # lam = 0.96/n^4 lie among them
+        lams = list(np.logspace(-4, math.log10(0.08), 57))
+        lams += [0.96 / n**4 for n in (2, 3, 4)]
+        checked, silent, unresolved = 0, [], []
+        for tau in (1, -1):
+            for lam in lams:
+                model = DeformationModel(tau, float(lam))
+                for l in range(4):
+                    spec = oracle.fd_spectrum(model, l, 4 - l)
+                    for k in range(4 - l):
+                        n = l + 1 + k
+                        if tau == 1 and lam >= 1.0 / n**4:
+                            continue  # in the dS continuum
+                        want = shift(model, n, spectra.energy(model, QuantumNumbers(n, l)).energy)
+                        got = shift(model, n, spec.eigenvalues[k])
+                        error = abs(got - want)
+                        resolved = error <= 1e-6 * abs(want) if want else error <= 1e-12
+                        flagged = spec.convergence_estimate[k] > oracle.ESTIMATE_BOUND / (2 * n * n)
+                        checked += 1
+                        if not resolved:
+                            unresolved.append((tau, lam, n, l))
+                            if not flagged:
+                                silent.append((tau, lam, n, l, error))
+        assert checked > 1000
+        assert silent == []
+        for tau, lam, n, l in unresolved:
+            assert tau == 1 and 1.0 / (n * math.sqrt(lam)) - n < 1.0, (lam, n, l)
 
     @pytest.mark.parametrize("lam", [1e-4, 1.5e-4, 2.08e-4])
     def test_ads_l1_blocks_are_ok(self, lam):
