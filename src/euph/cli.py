@@ -306,6 +306,8 @@ def cmd_wavefunction(args) -> int:
     state = wavefunctions.build_state(model, qn)
     nodes = wavefunctions.count_nodes(state)
     norm = wavefunctions.radial_overlap(state, state, measure="flat")
+    if not abs(norm - 1.0) <= 1e-8:  # the closed form is lost in rounding
+        raise ConvergenceError(f"norm check failed: <s|s> = {norm!r} is off 1 by more than 1e-8")
 
     if model.tau == -1:
         hi = state.domain[1] * (1.0 - 1e-6)

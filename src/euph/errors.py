@@ -46,5 +46,5 @@ class NonNormalizableError(EuphError):
 
 
 class ConvergenceError(EuphError):
-    """Numerical scheme did not converge: a quadrature with a non-finite
-    integrand or past its panel cap."""
+    """A numerical result failed its check: a self-overlap off 1 by more
+    than 1e-8 (``wavefunction``), or a quadrature that did not converge."""

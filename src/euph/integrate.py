@@ -1,10 +1,10 @@
-"""The package's one quadrature module.
+"""The package's Gauss rules, and the adaptive rule the tests compare with.
 
-``quad`` is an adaptive Gauss-Kronrod (G7/K15) rule, vectorized over panels:
-the integrand takes an array and each round evaluates all new panels in one
-call (pair and error estimate after QUADPACK, Piessens et al., Springer
-1983).  ``gauss_jacobi_u`` and ``LEGENDRE_64`` are exact Gauss rules for
-polynomial integrands.
+``gauss_jacobi_u`` and ``LEGENDRE_64`` are exact Gauss rules for polynomial
+integrands.  ``quad``, adaptive Gauss-Kronrod (G7/K15) vectorized over
+panels (pair and error estimate after QUADPACK, Piessens et al., Springer
+1983), has no caller in the package: the tests' reference overlap uses it,
+and the benchmark's tracer wraps it as ``wavefunctions.integrate.quad``.
 """
 
 from __future__ import annotations

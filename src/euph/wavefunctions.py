@@ -5,13 +5,16 @@ envelope(s) * polynomial(s) in the scaled variable s = chi/(sqrt(lam) r):
 a power-law pair |s-1|^A (s+1)^B with a Jacobi-type polynomial for dS, and
 (1+s^2)^p exp(q arctan s) with a Romanovski-type polynomial for AdS.  The
 envelope exponents grow like 1/sqrt(lam), so all evaluation runs in log
-space with the normalization constant folded into the exponent.  The module
+space with the normalization constant folded into the exponent.  Norms and
+overlaps are fixed Gauss rules in u = 2/(s+1) (dS) and phi = atan(1/s) (AdS),
+overlaps on other nodes than the norm, so a self-overlap checks it.  The module
 computes in Hartree units on lam_au = lam a0^2 (x = r/a0); only ``radial_eval``
 and ``RadialEigenstate.log_norm`` convert to the model's length unit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,15 +236,10 @@ def _legendre_assoc(l: int, m: int, x):
     pmm = np.ones_like(x)
     for k in range(1, m + 1):
         pmm = pmm * (-(2.0 * k - 1.0)) * somx2
-    if l == m:
-        return pmm
-    pmmp1 = x * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pmmp1
-    for ll in range(m + 2, l + 1):
-        pll = (x * (2.0 * ll - 1.0) * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
-        pmm, pmmp1 = pmmp1, pll
-    return pmmp1
+    prev, cur = np.zeros_like(x), pmm
+    for ll in range(m + 1, l + 1):
+        prev, cur = cur, (x * (2.0 * ll - 1.0) * cur - (ll + m - 1.0) * prev) / (ll - m)
+    return cur
 
 
 def sph_harm(l: int, m: int, theta, phi):
@@ -256,9 +254,7 @@ def sph_harm(l: int, m: int, theta, phi):
     val = norm * pl * np.exp(1j * ma * np.asarray(phi, dtype=float))
     if m < 0:
         val = (-1.0) ** ma * np.conjugate(val)
-    if val.ndim == 0 or (np.isscalar(theta) and np.isscalar(phi)):
-        return complex(np.asarray(val).reshape(-1)[0]) if np.asarray(val).size == 1 else val
-    return val
+    return complex(val) if val.ndim == 0 else val
 
 
 def psi_eval(state: RadialEigenstate, r, theta, phi):
@@ -269,94 +265,55 @@ def psi_eval(state: RadialEigenstate, r, theta, phi):
 def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure="flat"):
     """Inner product of two radial states in a chosen measure.
 
-    measure = "flat":     int psi_a psi_b r^2 dr over the physical domain;
-              "operator": int psi_a psi_b r^2/chi dr (the weight in which the
-                          radial operator is symmetric);
-              "extended": AdS only, the operator measure continued through the
-                          wall (integral over the whole real s line), in which
-                          the closed forms are exactly orthogonal.
-
-    Each piece is one ``integrate.quad`` in a variable other than
-    build_state's u and phi: x = r/a0 on breakpoints (0.1, 1, 4, 16) n^2 up
-    to edge = min(60 n^2, R/2), R the AdS wall; the dS tail as
-    x = edge w^(-1/gamma), gamma = 2(A_a + A_b) - 2 with A the envelope rates
-    (R ~ t^A at the tail; 2(A_a + A_b) - 1 for the operator measure's
-    1/chi ~ 1/r), so that every power of w cancels and the integrand, formed
-    from the remainder log t0 = log t - (2/gamma) log w = log e0 - 2 log(s+1)
-    (e0 = e at the edge; log1p less (2/gamma) log w where s > 3), tends to a
-    constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
-    the wall; for "extended", the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
-    error goal from the core's size.  The dS tail breaks at w = 2^(-k gamma),
-    the images of x = edge 2^k: near the bound-state threshold gamma -> 0 and
-    the core-to-tail transition lies in w in [1 - O(gamma), 1].
+    "flat" is int psi_a psi_b r^2 dr over the physical domain; "operator"
+    int psi_a psi_b r^2/chi dr, in which the radial operator is symmetric;
+    "extended" (AdS only) the operator measure over the whole real s line,
+    through the wall, in which the closed forms are exactly orthogonal.
+    A fixed Gauss rule (``_gauss_pair``; exact for dS) on nodes other than
+    build_state's, so a self-overlap still checks log_norm.
     """
     if state_a.model != state_b.model:
         raise ValidationError("states must share one deformation model")
-    model = state_a.model
     if measure not in ("flat", "operator", "extended"):
         raise ValidationError(f"unknown measure {measure!r}")
-    if measure == "extended" and model.tau != -1:
+    if measure == "extended" and state_a.model.tau != -1:
         raise ValidationError("the extended measure exists only for AdS")
-    log_norms, lam = state_a.log_norm_au + state_b.log_norm_au, model.lam_au
+    return _gauss_pair(state_a, state_b, measure)
 
-    def pair(s, log_t, log_weight):
-        la, sa = _log_radial_in_s(state_a, s, log_t)
-        lb, sb = (la, sa) if state_b is state_a else _log_radial_in_s(state_b, s, log_t)
-        return state_a.sign * state_b.sign * sa * sb * np.exp(la + lb + log_weight - log_norms)
 
-    def in_r(s, log_t, log_r, log_jac, log_chi):
-        # psi_a psi_b r^2 dr = R_a R_b r dr, over chi outside the flat measure
-        return pair(s, log_t, log_r + log_jac - (0.0 if measure == "flat" else log_chi))
+_legendre_80 = functools.cache(functools.partial(np.polynomial.legendre.leggauss, 80))
 
-    def at_radius(log_r, log_jac):
-        # from log r alone, so the dS tail may pass the float range:
-        # s^2 = tau + e with e = 1/(lam r^2), chi = s/sqrt(e)
-        log_e = -math.log(lam) - 2.0 * log_r
-        s = np.sqrt(model.tau + np.exp(log_e))
-        log_t = _ds_log_t(s, log_e - 2.0 * np.log(s + 1.0)) if model.tau == 1 else None
-        return in_r(s, log_t, log_r, log_jac, np.log(s) - 0.5 * log_e)
 
-    wall = math.inf if model.tau == 1 else 1.0 / math.sqrt(lam)
-    n2 = max(state_a.qn.n, state_b.qn.n) ** 2
-    edge = min(60.0 * n2, 0.5 * wall)
-    points = [0.0] + [f * n2 for f in (0.1, 1.0, 4.0, 16.0) if f * n2 < edge] + [edge]
-    val = integrate.quad(lambda x: at_radius(np.log(x), 0.0), points)[0]
-    if model.tau == 1:
-        rates = _envelope_rate(1, state_a.params) + _envelope_rate(1, state_b.params)
-        gamma = 2.0 * rates - (2.0 if measure == "flat" else 1.0)
-        log_edge = math.log(edge)
-        log_e0 = -math.log(lam) - 2.0 * log_edge  # log e at the edge
-        far = log_e0 > math.log(8.0)  # s > 3 on the tail's inner part
+def _gauss_pair(a: RadialEigenstate, b: RadialEigenstate, measure: str) -> float:
+    """int R_a R_b x dx (over chi unless flat) from _log_radial_in_s at Gauss nodes.
 
-        def tail(w):
-            # log t = log t0 + (2/gamma) log w, r = edge w^(-1/gamma): every
-            # power of w cancels, so the w-free remainder is all that is formed.
-            # Where s > 3, log t ~ -2/s at tiny lam lies below the rounding of
-            # log e, so there it is log1p less (2/gamma) log w, |that| < log e0
-            lw = 2.0 * np.log(w) / gamma
-            s = np.sqrt(1.0 + np.exp(log_e0 + lw))
-            log_t0 = log_e0 - 2.0 * np.log(s + 1.0)
-            if far:
-                big = s > 3.0
-                log_t0[big] = np.log1p(-2.0 / (s[big] + 1.0)) - lw[big]
-            log_chi = np.log(s) - 0.5 * log_e0
-            return in_r(s, log_t0, log_edge, log_edge - math.log(gamma), log_chi)
-
-        # a subnormal cut would put quadrature nodes at w = 0
-        cuts = {2.0 ** (-k * gamma) for k in (1, 2, 3, 4, 6, 10, 20, 40)}
-        cuts = sorted({0.0, 1.0} | {w for w in cuts if w >= np.finfo(float).tiny})
-        return val + integrate.quad(tail, cuts, scale=abs(val))[0]
-
-    def stretch(v):
-        u, chi = 1.0 - v * v, v * np.sqrt(2.0 - v * v)
-        return in_r(chi / u, None, np.log(wall * u), np.log(2.0 * wall * v), np.log(chi))
-
-    val += integrate.quad(stretch, [0.0, math.sqrt(1.0 - edge / wall)], scale=abs(val))[0]
-    if measure == "extended":
-
-        def beyond(w):  # R_a R_b r dr / chi = R_a R_b (1+s^2)^(-3/2) ds / lam
-            s = 1.0 - 1.0 / w
-            return pair(s, None, -1.5 * np.log1p(s * s) - 2.0 * np.log(w) - math.log(lam))
-
-        val += integrate.quad(beyond, [0.0, 1.0], scale=abs(val))[0]
-    return val
+    dS, u = 2/(s+1): u^beta (1-u)^alpha, beta = l_a + l_b + 2, alpha = A_a +
+    A_b - 2 (+ 1/2 over chi), times a polynomial, under one Gauss-Jacobi node
+    more than exactness needs (n_r + 2 for a self-pair; _normalize takes
+    n_r + 1), the weight moved from the log values to its Beta mass.  AdS,
+    s = cot phi: 80-point Gauss-Legendre (_normalize takes 64) up to pi/2 (pi
+    for "extended") or where e^(-(q_a + q_b) phi) has decayed.
+    """
+    tau, lam = a.model.tau, a.model.lam_au
+    rates = _envelope_rate(tau, a.params) + _envelope_rate(tau, b.params)
+    if tau == 1:
+        alpha, beta = rates - (2.0 if measure == "flat" else 1.5), a.qn.l + b.qn.l + 2
+        u, w = integrate.gauss_jacobi_u((a.qn.n_r + b.qn.n_r + 3) // 2 + 1, alpha, beta)
+        s, log_t = 2.0 / u - 1.0, np.log1p(-u)
+        # x dx = (2-u) u du / (8 lam (1-u)^2); over chi, 2 sqrt(1-u)/(2-u) for 2-u
+        log_jac = (1.0 - beta) * np.log(u) - (2.0 + alpha) * log_t - math.log(8.0 * lam)
+        log_jac += np.log(2.0 - u) if measure == "flat" else math.log(2.0) + 0.5 * log_t
+        # the Beta mass; the lgamma(alpha + .) form cancels at tiny lam
+        log_jac += math.lgamma(beta + 1.0) - sum(math.log(alpha + j) for j in range(1, beta + 2))
+    else:
+        top = math.pi if measure == "extended" else 0.5 * math.pi
+        hi = min(top, (60.0 + 2.0 * (a.qn.n + b.qn.n)) / rates)
+        x, w = _legendre_80()
+        phi, w = 0.5 * hi * (x + 1.0), 0.5 * hi * w
+        s, log_t = np.cos(phi) / np.sin(phi), None
+        # x dx = sin(phi) cos(phi) dphi / lam, and chi = cos(phi)
+        log_jac = np.log(np.sin(phi) * (np.cos(phi) if measure == "flat" else 1.0)) - math.log(lam)
+    la, sa = _log_radial_in_s(a, s, log_t)
+    lb, sb = (la, sa) if b is a else _log_radial_in_s(b, s, log_t)
+    terms = sa * sb * np.exp(la + lb + log_jac - a.log_norm_au - b.log_norm_au)
+    return a.sign * b.sign * float(np.dot(w, terms))

@@ -309,6 +309,29 @@ class TestWavefunction:
         assert code == 0
         assert summary in capsys.readouterr().out
 
+    def test_state_that_fails_its_norm_exits_3(self, tmp_path, capsys):
+        # dS (40,3) at lam = 1e-12: the monomial Rodrigues coefficients lose
+        # the state (16 nodes instead of 36), and its self-overlap reads ~296
+        out = tmp_path / "x.json"
+        code = run(["wavefunction", "--model", "ds", "--lambda", "1e-12", "--n", "40",
+                    "--l", "3", "--format", "json", "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: norm check failed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["ds", "ads"])
+    def test_n14_at_1e8_passes_its_norm(self, tmp_path, capsys, model):
+        # the adaptive overlap stopped at its 500-panel cap here.  The bound
+        # is the states' own rounding: 40-digit mpmath puts the exact norm of
+        # the AdS state's double coefficients at 1 + 3.1e-12
+        out = tmp_path / "x.json"
+        code = run(["wavefunction", "--model", model, "--lambda", "1e-8", "--n", "14",
+                    "--l", "0", "--format", "json", "--output", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["nodes"] == 13
+        assert abs(payload["norm"] - 1.0) <= 1e-10
+
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_samples_below_one_exit_2(self, tmp_path, capsys, samples):
         out = tmp_path / "x.csv"

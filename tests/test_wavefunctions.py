@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import sph_harm_y
 
-from euph import spectra, wavefunctions as wf
+import overlap_reference
+from euph import integrate as euph_integrate, spectra, wavefunctions as wf
 from euph.integrate import quad as euph_quad
 from euph.errors import DomainError, EuphError, NonNormalizableError, ValidationError
 from euph.model import SI, DeformationModel, QuantumNumbers
@@ -470,6 +471,70 @@ class TestOrthogonality:
         s1 = wf.build_state(model, QuantumNumbers(1, 0))
         s2 = wf.build_state(model, QuantumNumbers(2, 0))
         assert abs(wf.radial_overlap(s1, s2, "operator")) <= 1e-6
+
+
+class TestExactOverlap:
+    # radial_overlap is a fixed Gauss rule on the states' own evaluator; the
+    # adaptive routine it replaced is the reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=st.sampled_from([1, -1]),
+        unit=st.floats(0.0, 1.0),
+        measure=st.sampled_from(["flat", "operator", "extended"]),
+        n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        l_frac=st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                         st.floats(0.0, 1.0, exclude_max=True)),
+        same=st.booleans(),
+    )
+    def test_matches_the_adaptive_reference(self, tau, unit, measure, n, l_frac, same):
+        # dS lam log-uniform in [1e-73, 0.3], AdS in [1e-16, 0.3]
+        lo = -73.0 if tau == 1 else -16.0
+        model = DeformationModel(tau, 10.0 ** (lo + unit * (math.log10(0.3) - lo)))
+        if measure == "extended" and tau == 1:
+            measure = "operator"
+        try:
+            a, b = (wf.build_state(model, QuantumNumbers(k, int(f * k))) for k, f in zip(n, l_frac))
+        except NonNormalizableError:
+            return
+        b = a if same else b
+        want = overlap_reference.radial_overlap(a, b, measure)
+        # relative to the states' unit norms: cross overlaps may be ~0
+        assert abs(wf.radial_overlap(a, b, measure) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("model", [ds(1e-3), ds(1e-40), ads(1e-3), ads(1e-12)],
+                             ids=["ds-1e-3", "ds-1e-40", "ads-1e-3", "ads-1e-12"])
+    def test_a_shifted_log_norm_moves_the_self_overlap(self, model):
+        state = wf.build_state(model, QuantumNumbers(3, 1))
+        shifted = dataclasses.replace(state, log_norm_au=state.log_norm_au + 1e-6)
+        assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-13
+        assert wf.radial_overlap(shifted, shifted) == pytest.approx(math.exp(-2e-6), abs=1e-13)
+
+    @pytest.mark.parametrize("tau, lam, n, l", [(1, 1e-12, 40, 3), (1, 1e-16, 30, 0),
+                                                (-1, 1e-12, 40, 3)])
+    def test_states_lost_in_rounding_miss_one(self, tau, lam, n, l):
+        # the monomial Rodrigues coefficients lose these states; on
+        # _normalize's own nodes their self-overlap would read 1 to 1e-13
+        state = wf.build_state(DeformationModel(tau, lam), QuantumNumbers(n, l))
+        assert abs(wf.radial_overlap(state, state) - 1.0) > 1e-8
+
+    def test_self_pair_never_uses_the_normalization_nodes(self, monkeypatch):
+        real, sizes = euph_integrate.gauss_jacobi_u, []
+
+        def spy(m, alpha, beta):
+            sizes.append(m)
+            return real(m, alpha, beta)
+
+        model = ds(1e-4)
+        states = [wf.build_state(model, QuantumNumbers(n, l)) for n in range(1, 8) for l in range(n)]
+        monkeypatch.setattr(euph_integrate, "gauss_jacobi_u", spy)
+        for state in states:
+            sizes.clear()
+            wf.radial_overlap(state, state, "flat")
+            wf.radial_overlap(state, state, "operator")
+            assert sizes == [state.qn.n_r + 2] * 2, state.qn
+        # AdS: 80 Legendre points against the normalization's 64
+        assert len(wf._legendre_80()[0]) != len(euph_integrate.LEGENDRE_64[0])
 
 
 class TestSphericalHarmonics:
