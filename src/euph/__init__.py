@@ -6,7 +6,8 @@ Library layout:
 - ``nu_engine``: generic reduction of hypergeometric-type ODEs (Nikiforov-Uvarov)
 - ``polynomials``: a state's Jacobi (dS) or Romanovski (AdS) polynomial from its
   reduction's sigma and tau
-- ``integrate``: the one quadrature module (adaptive Gauss-Kronrod, Gauss rules)
+- ``integrate``: the package's Gauss rules; its adaptive ``quad`` is kept only for
+  the tests' reference overlap and the benchmark's tracer
 - ``spectra``: closed-form energies, critical and inversion deformations, bounds
 - ``wavefunctions``: radial eigenfunctions, nodes, normalization, spherical harmonics
 - ``oracle``: independent Lagrange-mesh spectral eigensolver and crosscheck sweeps

@@ -1,9 +1,16 @@
 """Command-line front end: spectra, tables, figure datasets, verification.
 
-Every subcommand writes deterministic CSV (6 significant digits) or JSON
-(full precision) files: fixed column order, comma separator, '.' decimal
-point, no timestamps.  Figure data comes with a generated matplotlib script
-so the core stays free of plotting dependencies.
+Every subcommand writes one table through ``_emit``, to ``--output`` or
+else ``<command>.<format>``, deterministically (no timestamps):
+
+- CSV: the header line, then one line per row; numbers to 6 significant
+  digits with '.' as decimal point, booleans as true/false, None as an
+  empty cell, and ';' for every ',' inside a text cell;
+- JSON, at full precision: {"command": ..., <the command's settings>,
+  "columns": header, "rows": rows}, indented by 2.
+
+Figure data comes with a generated matplotlib script so the core stays free
+of plotting dependencies.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-convergence failure.
 
@@ -56,23 +63,30 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, str):
-        return x
+        return x.replace(",", ";")
     if isinstance(x, numbers.Integral):  # numpy registers its integer types here
         return str(int(x))
     return f"{float(x):.6g}"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _emit(args, header, rows, meta, out=None, csv_rows=None):
+    """Write one table in ``args.format`` and return its path.
 
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    The path is ``out``, else ``args.output``, else ``<command>.<format>``.
+    CSV writes ``csv_rows`` if given, else ``rows``, through ``_fmt``; JSON
+    writes ``meta`` between the command name and the table.
+    """
+    out = out or args.output or f"{args.command}.{args.format}"
+    with open(out, "w", newline="") as fh:
+        if args.format == "csv":
+            fh.write(",".join(header) + "\n")
+            for row in rows if csv_rows is None else csv_rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            payload = {"command": args.command, **meta, "columns": header, "rows": list(rows)}
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    return out
 
 
 def _parse_range(text):
@@ -106,8 +120,7 @@ def _parse_list(text, kind):
     return values
 
 
-def _model(args, tau=None):
-    tau = tau if tau is not None else (1 if args.model == "ds" else -1)
+def _model(args):
     lam = args.lam
     if lam == 0.0:
         raise ValidationError(
@@ -115,7 +128,7 @@ def _model(args, tau=None):
             "pass a small positive value, or use the figure2 dataset whose grid "
             "includes the limiting column"
         )
-    return DeformationModel(tau=tau, lam=lam, units=_UNITS[args.units])
+    return DeformationModel(tau=1 if args.model == "ds" else -1, lam=lam, units=_UNITS[args.units])
 
 
 _PLOT_TEMPLATE = """\
@@ -144,9 +157,11 @@ print("wrote", {png!r})
 """
 
 
-def _emit_plot_script(script_path, name, data_path):
+def _emit_plot_script(script_name, name, data_path):
+    """Write ``script_name`` next to the data file; it renders ``name``."""
+    script = os.path.join(os.path.dirname(os.path.abspath(data_path)), script_name)
     png = str(data_path).rsplit(".", 1)[0] + ".png"
-    with open(script_path, "w") as fh:
+    with open(script, "w") as fh:
         fh.write(_PLOT_TEMPLATE.format(name=name, data=str(data_path), png=png))
 
 
@@ -161,21 +176,7 @@ def cmd_spectrum(args) -> int:
             rows.append((n, l, lv.energy, lv.bohr_term, lv.correction))
     unit = _SUFFIX[args.units]["energy"]
     header = ["n", "l", f"energy_{unit}", f"bohr_term_{unit}", f"correction_{unit}"]
-    out = args.output or f"spectrum.{args.format}"
-    if args.format == "csv":
-        _write_csv(out, header, rows)
-    else:
-        _write_json(
-            out,
-            {
-                "command": "spectrum",
-                "model": args.model,
-                "lambda": model.lam,
-                "units": args.units,
-                "columns": header,
-                "rows": [list(r) for r in rows],
-            },
-        )
+    out = _emit(args, header, rows, {"model": args.model, "lambda": model.lam, "units": args.units})
     print(f"spectrum: {len(rows)} levels -> {out}")
     return 0
 
@@ -183,35 +184,12 @@ def cmd_spectrum(args) -> int:
 def cmd_tables(args) -> int:
     crit, inv = spectra.make_tables(args.n_max)
     header = ["n"] + [f"l{l}_inv_bohr2" for l in range(args.n_max)]
-
-    def display(table):
-        rows = []
-        for i, row in enumerate(table):
-            cells = [2 + i]
-            for v in row:
-                cells.append(None if v is None else f"{round(v, 4):.4f}")
-            rows.append(cells)
-        return rows
-
     names = {}
     for key, table in (("critical", crit), ("inversion", inv)):
+        rows = [[2 + i] + row for i, row in enumerate(table)]
+        shown = [[r[0]] + [None if v is None else f"{round(v, 4):.4f}" for v in r[1:]] for r in rows]
         out = f"{args.output_dir}/table_{key}.{args.format}"
-        if args.format == "csv":
-            _write_csv(out, header, display(table))
-        else:
-            _write_json(
-                out,
-                {
-                    "command": "tables",
-                    "kind": key,
-                    "units": "hartree",
-                    "columns": header,
-                    "rows": [
-                        [2 + i] + row for i, row in enumerate(table)
-                    ],
-                },
-            )
-        names[key] = out
+        names[key] = _emit(args, header, rows, {"kind": key, "units": "hartree"}, out, shown)
     print(f"tables: n_max={args.n_max} -> {names['critical']}, {names['inversion']}")
     if args.n_max >= 3:
         print(
@@ -232,22 +210,9 @@ def cmd_figure1(args) -> int:
         rows.append((dx, 0.5 * units.hbar / dx, floor_ds, uncertainty_floor(ads, dx)))
     lu, pu = _SUFFIX[args.units]["length"], _SUFFIX[args.units]["momentum"]
     header = [f"dx_{lu}", f"floor_heisenberg_{pu}", f"floor_ds_{pu}", f"floor_ads_{pu}"]
-    out = args.output or f"figure1.{args.format}"
+    out = _emit(args, header, rows, {"lambda": args.lam, "units": args.units})
     if args.format == "csv":
-        _write_csv(out, header, rows)
-        script = os.path.join(os.path.dirname(os.path.abspath(out)), "plot_figure1.py")
-        _emit_plot_script(script, "uncertainty floors", out)
-    else:
-        _write_json(
-            out,
-            {
-                "command": "figure1",
-                "lambda": args.lam,
-                "units": args.units,
-                "columns": header,
-                "rows": [list(r) for r in rows],
-            },
-        )
+        _emit_plot_script("plot_figure1.py", "uncertainty floors", out)
     print(f"figure1: {len(rows)} samples -> {out}")
     return 0
 
@@ -274,22 +239,9 @@ def cmd_figure2(args) -> int:
                     spectra.energy(DeformationModel(-1, lam, units), qn).energy,
                 ]
         rows.append(tuple(row))
-    out = args.output or f"figure2.{args.format}"
+    out = _emit(args, header, rows, {"levels": levels, "units": args.units})
     if args.format == "csv":
-        _write_csv(out, header, rows)
-        script = os.path.join(os.path.dirname(os.path.abspath(out)), "plot_figure2.py")
-        _emit_plot_script(script, "s-state energies vs deformation", out)
-    else:
-        _write_json(
-            out,
-            {
-                "command": "figure2",
-                "levels": levels,
-                "units": args.units,
-                "columns": header,
-                "rows": [list(r) for r in rows],
-            },
-        )
+        _emit_plot_script("plot_figure2.py", "s-state energies vs deformation", out)
     print(f"figure2: {len(rows)} samples x {len(levels)} levels -> {out}")
     return 0
 
@@ -316,27 +268,10 @@ def cmd_wavefunction(args) -> int:
     radii = np.linspace(hi * 1e-5, hi, args.samples)
     values = wavefunctions.radial_eval(state, radii)
 
-    out = args.output or f"wavefunction.{args.format}"
-    lu = _SUFFIX[args.units]["length"]
-    header = [f"r_{lu}", "psi_radial_au"]
-    if args.format == "csv":
-        _write_csv(out, header, list(zip(radii, values)))
-    else:
-        _write_json(
-            out,
-            {
-                "command": "wavefunction",
-                "model": args.model,
-                "lambda": model.lam,
-                "n": qn.n,
-                "l": qn.l,
-                "energy": state.energy,
-                "nodes": nodes,
-                "norm": norm,
-                "columns": header,
-                "rows": [[float(r), float(v)] for r, v in zip(radii, values)],
-            },
-        )
+    header = [f"r_{_SUFFIX[args.units]['length']}", "psi_radial_au"]
+    meta = {"model": args.model, "lambda": model.lam, "n": qn.n, "l": qn.l,
+            "energy": state.energy, "nodes": nodes, "norm": norm}
+    out = _emit(args, header, zip(radii, values), meta)
     print(
         f"wavefunction: n={qn.n} l={qn.l} energy={state.energy:.9g} "
         f"nodes={nodes} norm={norm:.9f} -> {out}"
@@ -363,29 +298,9 @@ def cmd_verify(args) -> int:
         "node_match",
         "status",
     ]
-    keys = [
-        "model", "lambda", "n", "l", "e_closed", "e_oracle", "rel_dev",
-        "nodes_closed", "nodes_oracle", "node_match", "status",
-    ]
-    out = args.output or f"verify.{args.format}"
-    if args.format == "csv":
-        rows = [
-            [row[k].replace(",", ";") if k == "status" else row[k] for k in keys]
-            for row in report.rows
-        ]
-        _write_csv(out, header, rows)
-    else:
-        _write_json(
-            out,
-            {
-                "command": "verify",
-                "lambdas": lambdas,
-                "n_max": args.n_max,
-                "summary": report.summary,
-                "columns": header,
-                "rows": [[row[k] for k in keys] for row in report.rows],
-            },
-        )
+    rows = [list(row.values()) for row in report.rows]  # in the header's order
+    meta = {"lambdas": lambdas, "n_max": args.n_max, "summary": report.summary}
+    out = _emit(args, header, rows, meta)
     s = report.summary
     print(
         f"verify: {s['cells']} cells, max rel dev ds={_fmt(s['max_rel_dev_ds'])} "
@@ -413,19 +328,7 @@ def cmd_bound(args) -> int:
         b.lambda_convention,
         b.lambda_derived,
     )
-    out = args.output or f"bound.{args.format}"
-    if args.format == "csv":
-        _write_csv(out, header, [row])
-    else:
-        _write_json(
-            out,
-            {
-                "command": "bound",
-                "units": args.units,
-                "columns": header,
-                "rows": [list(row)],
-            },
-        )
+    out = _emit(args, header, [row], {"units": args.units})
     unit = "kg*m/s" if args.units == "si" else "atomic"
     print(
         f"bound: dP_min <= {b.dp_min_convention:.3e} (coefficient 3/2) or "

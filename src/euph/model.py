@@ -76,8 +76,10 @@ class DeformationModel:
 
     tau = +1 selects deSitter, tau = -1 anti-deSitter.  ``lam`` is the
     deformation parameter, an inverse length squared; lam = 0 is rejected
-    because the coordinate map s(r) divides by sqrt(lam).  The Bohr limit is
-    reached through sequences lam -> 0, never through a stored model.
+    because the coordinate map s(r) divides by sqrt(lam), and so is a lam
+    whose Hartree value ``lam_au`` underflows to 0 (below about 8.8e-304
+    m^-2 in SI).  The Bohr limit is reached through sequences lam -> 0,
+    never through a stored model.
     """
 
     tau: int
@@ -93,6 +95,10 @@ class DeformationModel:
             )
         if not math.isfinite(self.lam):
             raise ValidationError("deformation parameter must be finite")
+        if not self.lam_au > 0.0:
+            raise ValidationError(
+                f"deformation parameter {self.lam} underflows to 0 in Hartree units"
+            )
 
     @property
     def lam_au(self) -> float:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra, wavefunctions
-from .errors import EuphError, NonNormalizableError, ValidationError
+from .errors import ConvergenceError, EuphError, NonNormalizableError, ValidationError
 from .model import DeformationModel, QuantumNumbers, UnitSystem, HARTREE
 
 __all__ = [
@@ -168,29 +168,39 @@ def _mesh_order(model, l, count, coordinate):
 
 def _mesh_problem(model, l, coordinate, n, h):
     """Symmetric mesh matrix of order n (Laguerre step h), and (a, b) with
-    E = a e + b in Hartree for each of its eigenvalues e."""
+    E = a e + b in Hartree for each of its eigenvalues e.
+
+    Raises ConvergenceError when an entry is not finite: below lam_au of
+    about 1e-305 the Coulomb and centrifugal terms at the first Laguerre
+    nodes overflow.
+    """
     lam = model.lam_au
     eta = spectra.scaled_eta(model)
-    if coordinate == "t":
-        x, w, deriv = _legendre_mesh(n)
-        t = 0.5 * math.pi * x
-        c, s = np.cos(t), np.sin(t)
-        potential = -((l + 0.5) ** 2) * s * s + eta * s * c + 0.25 - 0.75 * c * c
-        m = np.sqrt(w) * c
-        stiffness = (2.0 / math.pi) * (m[:, None] * deriv / m[None, :])
-        matrix = stiffness.T @ stiffness - np.diag(potential / (c * c))
-        return matrix, 0.5 * lam, -0.25 * lam
-    # the Laguerre forms times h^2, which keeps every entry O(1) at any lam
-    x, kinetic = _laguerre_mesh(n)
-    angle = h * x
-    offset = (l + 0.5) ** 2 + 0.75
-    if coordinate == "theta":
-        potential = l * (l + 1.0) / np.sinh(angle) ** 2 - eta / np.tanh(angle)
-    else:
-        potential = l * (l + 1.0) / np.sin(angle) ** 2 - eta / np.tan(angle)
-        offset = -offset
-    matrix = kinetic + np.diag(h * h * potential)
-    return matrix, 0.5 * lam / (h * h), 0.5 * lam * offset
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        if coordinate == "t":
+            x, w, deriv = _legendre_mesh(n)
+            t = 0.5 * math.pi * x
+            c, s = np.cos(t), np.sin(t)
+            potential = -((l + 0.5) ** 2) * s * s + eta * s * c + 0.25 - 0.75 * c * c
+            m = np.sqrt(w) * c
+            stiffness = (2.0 / math.pi) * (m[:, None] * deriv / m[None, :])
+            matrix = stiffness.T @ stiffness - np.diag(potential / (c * c))
+            a, b = 0.5 * lam, -0.25 * lam
+        else:
+            # the Laguerre forms times h^2, which keeps every entry O(1) at any lam
+            x, kinetic = _laguerre_mesh(n)
+            angle = h * x
+            offset = (l + 0.5) ** 2 + 0.75
+            if coordinate == "theta":
+                potential = l * (l + 1.0) / np.sinh(angle) ** 2 - eta / np.tanh(angle)
+            else:
+                potential = l * (l + 1.0) / np.sin(angle) ** 2 - eta / np.tan(angle)
+                offset = -offset
+            matrix = kinetic + np.diag(h * h * potential)
+            a, b = 0.5 * lam / (h * h), 0.5 * lam * offset
+    if not np.isfinite(matrix).all():
+        raise ConvergenceError(f"mesh matrix is not finite at lam = {lam:.3g} a0^-2")
+    return matrix, a, b
 
 
 def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:

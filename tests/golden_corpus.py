@@ -108,6 +108,8 @@ INVOCATIONS = [
     "verify --lambdas 1e19,1e5 --units si --n-max 2 --format json --output {tmp}/v.json",
     "verify --lambdas=, --n-max 2",
     "verify --lambdas 0.01 --n-max 5",
+    "verify --lambdas 1e-310 --n-max 2",
+    "verify --lambdas 1e-300 --units si --n-max 2 --format json",
     # bound
     "bound --precision 1e-15",
     "bound --precision 1e-15 --format json",
@@ -137,6 +139,7 @@ def _verify_rows(text, is_json):
     else:
         lines = text.splitlines()
         cells = [ln.split(",") for ln in lines[1:]]
+        # in the JSON row's places: model 0, e_closed to rel_dev 4-6, status 10
         rows = [[c[0], None, None, None, *map(_num, c[4:7]), None, None, None, c[10]] for c in cells]
         kept = "\n".join(lines) + "\n" == text
     maxima = {
@@ -246,8 +249,8 @@ def load():
     return json.loads(MANIFEST.read_text())
 
 
-def main(argv=None):
-    write = "--write" in (argv if argv is not None else sys.argv[1:])
+def main():
+    write = "--write" in sys.argv[1:]
     old = load()["entries"] if MANIFEST.exists() else {}
     entries, changes = {}, []
     for command in INVOCATIONS:

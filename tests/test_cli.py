@@ -107,6 +107,26 @@ class TestExitContract:
                     "--output", str(tmp_path / "f1.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # lam a0^2 underflows to 0: the model itself is invalid
+            ("wavefunction --model ds --lambda 1e-310 --units si --n 2 --l 0", 2),
+            ("verify --lambdas 1e-310 --units si --n-max 1", 2),
+            # lam_au ~ 1e-310 overflows the mesh matrix: every cell is an error
+            ("verify --lambdas 1e-310 --n-max 2", 3),
+            ("verify --lambdas 1e-300 --units si --n-max 2", 3),
+        ],
+    )
+    def test_underflowing_lambda_is_a_typed_error(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "x.csv"
+        assert run(argv.split() + ["--output", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: deformation parameter 1e-310")
+        else:
+            statuses = [ln.split(",")[-1] for ln in out.read_text().splitlines()[1:]]
+            assert all(st.startswith("error: mesh matrix is not finite") for st in statuses)
+
     def test_flag_abbreviation_is_rejected(self, tmp_path, capsys):
         assert run(["tables", "--output", str(tmp_path / "x.csv")]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -372,6 +392,19 @@ class TestVerify:
         assert code == 3
         body = out.read_text().splitlines()[1]
         assert body.count(",") == 10  # free text sanitized, column count intact
+
+    def test_commas_in_text_cells_become_semicolons_in_csv_only(self, tmp_path, monkeypatch):
+        from euph import oracle
+
+        def report(lambdas, n_max, units=None):
+            return one_cell_report("error: a, b", errors=1)
+
+        monkeypatch.setattr(oracle, "crosscheck_report", report)
+        argv = ["verify", "--lambdas", "0.01", "--n-max", "1", "--output"]
+        assert run(argv + [str(tmp_path / "v.csv")]) == 3
+        assert run(argv + [str(tmp_path / "v.json"), "--format", "json"]) == 3
+        assert (tmp_path / "v.csv").read_text().splitlines()[1].split(",")[-1] == "error: a; b"
+        assert json.loads((tmp_path / "v.json").read_text())["rows"][0][-1] == "error: a, b"
 
     def test_nothing_verified_exits_3(self, tmp_path, monkeypatch):
         from euph import oracle
