@@ -9,6 +9,8 @@ and the benchmark's tracer wraps it as ``wavefunctions.integrate.quad``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import legendre
 
@@ -77,9 +79,18 @@ def gauss_jacobi_u(m: int, alpha: float, beta: float):
     Golub-Welsch on the Jacobi recurrence shifted to u; every recurrence
     entry is a sum of positive terms, so nodes near u = 0 keep their
     relative accuracy.  Returns (nodes, weights) with weights summing to 1.
+    Raises ConvergenceError once a recurrence term would overflow, from
+    alpha of about 1e77 (dS states below lam_au of about 1e-155), where the
+    off-diagonal would read 0 and the rule collapse to one node.
     """
-    k = np.arange(m, dtype=float)
     s = alpha + beta
+    # every recurrence term grows with k and is bounded by the last
+    # denominator: of the off-diagonal, or of the diagonal when m = 1
+    last = 2.0 * m - 2.0 + s
+    largest = last * last * (last + 1.0) * (last - 1.0) if m > 1 else last * (last + 2.0)
+    if not math.isfinite(largest):
+        raise ConvergenceError(f"Gauss-Jacobi recurrence overflows at alpha = {alpha:.3g}")
+    k = np.arange(m, dtype=float)
     t = 2.0 * k + s
     num, den = 2.0 * k * (k + s + 1.0) + s * (beta + 1.0), t * (t + 2.0)
     if s == 0.0:  # the k = 0 entry (beta + 1)/(s + 2) reads 0/0 here

@@ -19,16 +19,17 @@ needs (``_mesh_order``).  The meshes use the coefficients of the radial
 equation only, never a closed-form energy, so agreement is a genuine
 cross-check.
 
-- dS, and AdS whose wall lies beyond the mesh (h x_N < pi/2): a regularized
-  Lagrange-Laguerre mesh theta (or phi) = h x_i, h = min(sqrt(lam), 0.1)
-  (x 1.5 on the order-40 mesh), with the kinetic matrix in the Gauss
-  approximation.
-- AdS whose wall is near the atom: a Lagrange-Legendre mesh in the angle
-  t = arctan s = pi/2 - phi on (-pi/2, pi/2), in weak form on
-  G = R/sqrt(cos t), which is smooth at both images of the origin:
-  stiffness int cos^2 t G' f', mass int cos^2 t G f and the entire potential
-  -(l+1/2)^2 sin^2 t + eta sin t cos t + 1/4 - 3/4 cos^2 t, with
-  E = (lam/2)(eps - 1/2).  The wall t = 0 is a regular interior point.
+- dS: a regularized Lagrange-Laguerre mesh theta = h x_i,
+  h = min(sqrt(lam), 0.1) (x 1.5 on the order-40 mesh), with the kinetic
+  matrix in the Gauss approximation.
+- AdS: a Lagrange-Legendre mesh in the angle t = arctan s = pi/2 - phi on
+  (-pi/2, pi/2), in weak form on G = R/sqrt(cos t), which is smooth at both
+  images of the origin: stiffness int cos^2 t G' f', mass int cos^2 t G f
+  and the entire potential -(l+1/2)^2 sin^2 t + eta sin t cos t + 1/4 -
+  3/4 cos^2 t, with E = (lam/2)(eps - 1/2).  The wall t = 0 is a regular
+  interior point.  tan(phi/2) = kappa tan(pi(1 - x_i)/4) maps the nodes onto
+  the atom, kappa = min(1, 1.25 sqrt(lam) max(l + count, 4)^2) (J. P. Boyd,
+  Chebyshev and Fourier Spectral Methods, Dover 2001, ch. 17).
 
 The eigenvalues are solved again on the mesh of order 3N/2, and each
 state's |E_N - E_3N/2| in Hartree is its error estimate.  Mesh coefficients
@@ -80,7 +81,7 @@ class OracleSpectrum:
     l: int
     eigenvalues: tuple  # energies, ascending
     eigenvectors: np.ndarray  # row k: mesh coefficients of state k
-    coordinate: str  # "theta" (dS), "phi" (AdS, far wall) or "t" (AdS, near wall)
+    coordinate: str  # "theta" (dS) or "t" (AdS)
     convergence_estimate: tuple  # per state |E_N - E_3N/2| in Hartree
 
     def node_counts(self):
@@ -141,63 +142,65 @@ def _legendre_mesh(n):
     return _frozen(x, w, deriv)
 
 
-def _mesh_order(model, l, count, coordinate):
-    """Order N of the block's mesh and, on the Laguerre meshes, its step h.
+def _mesh_order(model, l, count):
+    """Order N of the block's mesh and its scale: Laguerre step h or kappa.
 
     Blocks up to n = 4 take an order measured to resolve each bound level's
-    shift E - E_Bohr as well as order 100 does: 40, or on the t-mesh 50 and
-    70 as lam falls to 3e-4.  The order-40 Laguerre step is
-    1.5 h, which puts the basis decay e^(-x/2) between those of levels 2
-    and 4.  A dS level about to leave the spectrum (its Jacobi parameter
-    1/(n sqrt(lam)) - n in (0, 1)) spreads beyond that mesh, so its block,
-    like every other, keeps order 100 and h = min(sqrt(lam), 0.1).
+    shift E - E_Bohr as well as order 100 does: 40 on the theta-mesh, with
+    the step 1.5 h that puts the basis decay e^(-x/2) between those of
+    levels 2 and 4, and on the t-mesh at kappa = 1; 60 on the mapped t-mesh,
+    where 40 breaks ground-state node counts.  Every block above n = 4, and
+    a dS block with a level about to leave the spectrum (Jacobi parameter
+    1/(n sqrt(lam)) - n in (0, 1)), which spreads beyond the order-40 mesh,
+    keeps order 100 and h = min(sqrt(lam), 0.1).
     """
     lam = model.lam_au
+    if model.tau == -1:
+        kappa = min(1.0, 1.25 * math.sqrt(lam) * max(l + count, 4) ** 2)
+        return (100 if l + count > 4 else 40 if kappa == 1.0 else 60), kappa
     h = min(math.sqrt(lam), 0.1)
-    if l + count <= 4:
-        if coordinate == "t":
-            for order, lam_min in ((40, 3e-3), (50, 1e-3), (70, 3e-4)):
-                if lam >= lam_min:
-                    return order, h
-        elif model.tau == -1 or not any(
-            0.0 < 1.0 / (n * math.sqrt(lam)) - n < 1.0 for n in range(l + 1, l + count + 1)
-        ):
-            return 40, 1.5 * h
+    if l + count <= 4 and not any(
+        0.0 < 1.0 / (n * math.sqrt(lam)) - n < 1.0 for n in range(l + 1, l + count + 1)
+    ):
+        return 40, 1.5 * h
     return 100, h
 
 
-def _mesh_problem(model, l, coordinate, n, h):
-    """Symmetric mesh matrix of order n (Laguerre step h), and (a, b) with
-    E = a e + b in Hartree for each of its eigenvalues e.
+def _mesh_problem(model, l, n, scale):
+    """Symmetric mesh matrix of order n at ``_mesh_order``'s scale, and
+    (a, b) with E = a e + b in Hartree for each of its eigenvalues e.
+
+    The t-mesh's map changes only cos t and sin t at the nodes, formed from
+    u = tan(phi/2) so nothing cancels at tiny lam, and the stiffness, by
+    dt/dx.  At kappa = 1 they come from t = pi x/2 itself: the u form puts
+    the E = 0 rows of the AdS critical deformations past their round-off.
 
     Raises ConvergenceError when an entry is not finite: below lam_au of
-    about 1e-305 the Coulomb and centrifugal terms at the first Laguerre
-    nodes overflow.
+    about 1e-303 the terms at the nodes nearest the origin overflow.
     """
     lam = model.lam_au
     eta = spectra.scaled_eta(model)
     with np.errstate(all="ignore"):  # an overflow is reported below
-        if coordinate == "t":
+        if model.tau == -1:
             x, w, deriv = _legendre_mesh(n)
-            t = 0.5 * math.pi * x
-            c, s = np.cos(t), np.sin(t)
+            if scale == 1.0:
+                c, s, root = np.cos(0.5 * math.pi * x), np.sin(0.5 * math.pi * x), 1.0
+            else:
+                v = np.tan(0.25 * math.pi * (1.0 - x))
+                u = scale * v
+                c, s = 2.0 * u / (1.0 + u * u), (1.0 - u * u) / (1.0 + u * u)
+                root = np.sqrt(scale * (1.0 + v * v) / (1.0 + u * u))  # of dt/dx / (pi/2)
             potential = -((l + 0.5) ** 2) * s * s + eta * s * c + 0.25 - 0.75 * c * c
             m = np.sqrt(w) * c
-            stiffness = (2.0 / math.pi) * (m[:, None] * deriv / m[None, :])
+            stiffness = (2.0 / math.pi) * ((m / root)[:, None] * deriv / (m * root)[None, :])
             matrix = stiffness.T @ stiffness - np.diag(potential / (c * c))
             a, b = 0.5 * lam, -0.25 * lam
         else:
             # the Laguerre forms times h^2, which keeps every entry O(1) at any lam
             x, kinetic = _laguerre_mesh(n)
-            angle = h * x
-            offset = (l + 0.5) ** 2 + 0.75
-            if coordinate == "theta":
-                potential = l * (l + 1.0) / np.sinh(angle) ** 2 - eta / np.tanh(angle)
-            else:
-                potential = l * (l + 1.0) / np.sin(angle) ** 2 - eta / np.tan(angle)
-                offset = -offset
-            matrix = kinetic + np.diag(h * h * potential)
-            a, b = 0.5 * lam / (h * h), 0.5 * lam * offset
+            potential = l * (l + 1.0) / np.sinh(scale * x) ** 2 - eta / np.tanh(scale * x)
+            matrix = kinetic + np.diag(scale * scale * potential)
+            a, b = 0.5 * lam / (scale * scale), 0.5 * lam * ((l + 0.5) ** 2 + 0.75)
     if not np.isfinite(matrix).all():
         raise ConvergenceError(f"mesh matrix is not finite at lam = {lam:.3g} a0^-2")
     return matrix, a, b
@@ -206,9 +209,8 @@ def _mesh_problem(model, l, coordinate, n, h):
 def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
     """Lowest ``count`` radial energies and mesh eigenvectors.
 
-    The mesh is the theta-mesh for dS; for AdS, the phi-mesh while its last
-    node lies inside the wall, the t-mesh otherwise.  Its order N comes from
-    the block (``_mesh_order``).  The eigenvalues are solved again at order
+    The mesh is the theta-mesh for dS and the t-mesh for AdS.  Its order N
+    and scale come from the block (``_mesh_order``).  The eigenvalues are solved again at order
     3N/2, and each state's change in Hartree is stored as its error
     estimate.
     """
@@ -217,21 +219,11 @@ def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
     if l < 0:
         raise ValidationError("l must be nonnegative")
 
-    if model.tau == 1:
-        coordinate = "theta"
-    else:
-        # the Legendre t-mesh spreads its nodes over the whole continued
-        # line, the Laguerre phi-mesh over the atom; the atom is resolved by
-        # the latter while the wall lies beyond the last node of the
-        # phi-mesh that the block would use
-        order, h = _mesh_order(model, l, count, "phi")
-        coordinate = "phi" if h * _laguerre_mesh(order)[0][-1] < 0.5 * math.pi else "t"
-    order, h = _mesh_order(model, l, count, coordinate)
-
-    matrix, a, b = _mesh_problem(model, l, coordinate, order, h)
+    order, scale = _mesh_order(model, l, count)
+    matrix, a, b = _mesh_problem(model, l, order, scale)
     values, vectors = eigh_tridiagonal(matrix, True)
     energies = [a * e + b for e in values[:count]]
-    matrix, a, b = _mesh_problem(model, l, coordinate, 3 * order // 2, h)
+    matrix, a, b = _mesh_problem(model, l, 3 * order // 2, scale)
     checks = [a * e + b for e in eigh_tridiagonal(matrix, False)[:count]]
     estimates = tuple(float(abs(e - c)) for e, c in zip(energies, checks))
 
@@ -241,7 +233,7 @@ def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
         l=l,
         eigenvalues=tuple(float(e) * e_h for e in energies),
         eigenvectors=vectors[:, :count].T,
-        coordinate=coordinate,
+        coordinate="theta" if model.tau == 1 else "t",
         convergence_estimate=estimates,
     )
 

@@ -241,8 +241,9 @@ def spectroscopic_bound(precision: float, units: UnitSystem = HARTREE) -> Spectr
 
 # ---------------------------------------------------------------------------
 # Route through the reduction engine (independent of the closed forms above).
-# ``nu_engine`` needs numpy, so it is imported inside the functions below and
-# the closed forms above load with the standard library alone.
+# ``nu_engine`` is imported inside the functions below: its import runs about
+# 2 ms of dataclass set-up (``python -X importtime``), which every command
+# that prints closed forms only would otherwise pay.
 
 
 def hydrogen_ode(model: DeformationModel, l: int, eps: float) -> nu.HypergeometricODE:

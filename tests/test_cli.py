@@ -339,6 +339,19 @@ class TestWavefunction:
         assert capsys.readouterr().err.startswith("numerical failure: norm check failed")
         assert not out.exists()
 
+    def test_overflowing_jacobi_rule_exits_3(self, tmp_path, capsys):
+        # lam = 1e-200 a0^-2, far below the physical ~1e-73: the Gauss-Jacobi
+        # recurrence of the dS norm overflows, and the state once came out
+        # twice too large with norm=1.000000000
+        out = tmp_path / "x.csv"
+        code = run(["wavefunction", "--model", "ds", "--lambda", "1e-200", "--n", "2",
+                    "--l", "0", "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Gauss-Jacobi recurrence overflows")
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", ["ds", "ads"])
     def test_n14_at_1e8_passes_its_norm(self, tmp_path, capsys, model):
         # the adaptive overlap stopped at its 500-panel cap here.  The bound
@@ -458,6 +471,15 @@ class TestVerify:
         assert row[-1] == "ok"
         assert abs(row[5]) <= 1e-12
         assert code == 0
+
+    def test_overflowing_jacobi_rule_is_an_error_cell(self, tmp_path):
+        # the dS (2,0) norm's Gauss-Jacobi recurrence overflows at lam = 1e-200
+        out = tmp_path / "verify.csv"
+        code = run(["verify", "--lambdas", "1e-200", "--n-max", "2", "--output", str(out)])
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        errors = [(r[0], r[2], r[3]) for r in rows if r[-1].startswith("error")]
+        assert errors == [("ds", "2", "0")]
+        assert code == 3
 
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "verify.csv"

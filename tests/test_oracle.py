@@ -198,12 +198,12 @@ class TestEighAttribute:
         [
             (ds(1e-3), 0, 3, "theta", 40),
             (ads(0.01), 0, 2, "t", 40),
-            (ads(1e-6), 0, 2, "phi", 40),
+            (ads(1e-6), 0, 2, "t", 60),  # the map draws the nodes onto the atom
             # (3,0) at dS 0.01 is about to leave the spectrum (lam < 1/3^4)
             (ds(0.01), 0, 3, "theta", 100),
             (ads(1e-3), 2, 3, "t", 100),  # up to n = 5
         ],
-        ids=["theta", "t", "phi", "ds-window", "n5"],
+        ids=["theta", "t", "t-mapped", "ds-window", "n5"],
     )
     def test_one_seam_call_per_mesh_solve(self, monkeypatch, model, l, count, coordinate, order):
         calls = []
@@ -291,8 +291,8 @@ class TestShiftResolution:
 
 
 class TestWholeRange:
-    """Down to the spectroscopic bound (~3e-16) and beyond, on the phi-mesh
-    for AdS, the oracle still gives every level."""
+    """Down to the spectroscopic bound (~3e-16) and beyond, the oracle still
+    gives every level."""
 
     @pytest.mark.parametrize("lam", [1e-12, 3.3e-16, 1e-30])
     @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
@@ -300,8 +300,34 @@ class TestWholeRange:
         model = DeformationModel(tau, lam)
         for l in range(3):
             spec = oracle.fd_spectrum(model, l, 3 - l)
-            assert spec.coordinate == ("theta" if tau == 1 else "phi")
+            assert spec.coordinate == ("theta" if tau == 1 else "t")
             assert spec.node_counts() == list(range(3 - l))
             for k, e in enumerate(spec.eigenvalues):
                 want = spectra.energy(model, QuantumNumbers(l + 1 + k, l)).energy
                 assert abs(e - want) <= 1e-10 * abs(want), (l + 1 + k, l)
+
+
+class TestReach:
+    """The t-mesh's map draws its nodes onto the atom by the block's top
+    level, so the AdS oracle reaches n = 20 from lam = 1e-12 to 1e-4."""
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-8, 1e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("l", [0, 5, 10])
+    def test_ten_levels(self, l, lam):
+        model = ads(lam)
+        spec = oracle.fd_spectrum(model, l, 10)
+        assert spec.node_counts() == list(range(10))
+        for k, e in enumerate(spec.eigenvalues):
+            want = spectra.energy(model, QuantumNumbers(l + 1 + k, l)).energy
+            assert abs(e - want) <= 1e-10 * abs(want), (l + 1 + k, l)
+
+    def test_node_counts_over_the_whole_range(self):
+        # every AdS level is a Romanovski state, bound or not, so each block's
+        # mesh vectors carry 0, 1, ... nodes from lam = 1e-300 to 1
+        wrong = []
+        for lam in np.logspace(-300, 0, 121):
+            for l, count in [(0, 4), (1, 3), (3, 1), (0, 6), (10, 3)]:
+                spec = oracle.fd_spectrum(ads(float(lam)), l, count)
+                if spec.node_counts() != list(range(count)):
+                    wrong.append((float(lam), l, spec.node_counts()))
+        assert wrong == []

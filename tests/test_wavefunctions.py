@@ -13,7 +13,9 @@ from scipy.special import sph_harm_y
 import overlap_reference
 from euph import integrate as euph_integrate, spectra, wavefunctions as wf
 from euph.integrate import quad as euph_quad
-from euph.errors import DomainError, EuphError, NonNormalizableError, ValidationError
+from euph.errors import (
+    ConvergenceError, DomainError, EuphError, NonNormalizableError, ValidationError,
+)
 from euph.model import SI, DeformationModel, QuantumNumbers
 
 from nu_reference import Romanovski, family_coefficients, jacobi_recurrence
@@ -257,6 +259,14 @@ class TestTinyLambdaDS:
         for n, reference in bohr.items():
             values = wf.radial_eval(wf.build_state(ds(lam), QuantumNumbers(n, 0)), r)
             assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference)), n
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-200])
+    def test_overflowing_jacobi_rule_is_a_typed_error(self, lam):
+        # the Jacobi alpha ~ 2/(n sqrt(lam)) passes 1e77, where the Gauss rule's
+        # recurrence overflows; the collapsed one-node rule once normalized
+        # dS (2,0) to <s|s> = 4 while its own norm check read 1
+        with pytest.raises(ConvergenceError, match="overflows"):
+            wf.build_state(ds(lam), QuantumNumbers(2, 0))
 
 
 def _hellmann_feynman_slope(state):
