@@ -32,7 +32,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EuphError,
-    MaxIterationsError,
     NonNormalizableError,
     ValidationError,
 )
@@ -410,7 +409,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError, NonNormalizableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, MaxIterationsError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except EuphError as exc:

@@ -37,14 +37,11 @@ class NoBoundBranchError(EuphError):
     """No reduction branch is regular at s -> inf (complex indicial exponents)."""
 
 
-class MaxIterationsError(EuphError):
-    """Iteration limit reached before the requested tolerance."""
-
-
 class NonNormalizableError(EuphError):
     """The closed-form state is not square integrable on its domain."""
 
 
 class ConvergenceError(EuphError):
     """A numerical result failed its check: a self-overlap off 1 by more
-    than 1e-8 (``wavefunction``), or a quadrature that did not converge."""
+    than 1e-8 (``wavefunction``), a quadrature that did not converge, or a
+    bound state's normalization sum that is not positive and finite."""

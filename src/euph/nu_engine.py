@@ -26,11 +26,10 @@ Polynomial coefficients are stored ascending, as tuples of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import (
-    MaxIterationsError,
     NoBoundBranchError,
     NotAPerfectSquareError,
     ValidationError,
@@ -46,7 +45,6 @@ __all__ = [
 
 MAX_RODRIGUES_DEGREE = 64
 _NEGLIGIBLE = 1e-13  # relative size below which a sum has cancelled to zero
-_SECANT_STEPS = 8  # cap on solve_level's secant steps
 
 
 def _negligible(x, *terms) -> bool:
@@ -221,35 +219,23 @@ def reduce(ode: HypergeometricODE, n: int) -> NUReduction:
     return _branch_reduction(ode, *_regular_branch(ode, n))
 
 
-def solve_level(family, n: int, start: float, step: float) -> float:
-    """Spectral parameter eps at which ``family(eps)`` has its degree-n level.
+def solve_level(ode: HypergeometricODE, n: int) -> float:
+    """Constant term of sigma_tilde at which ``ode`` has its degree-n level.
 
-    ``family`` maps eps to a HypergeometricODE.  On the regular branch the
-    level is the zero of D(eps) = q1^2 - 4 q2 q0, the discriminant of the
-    under-root quadratic at the branch's k.  The secant method runs from
-    ``start`` and ``start + step`` and stops once a step is negligible
-    against the iterate and ``step``; ``reduce`` then checks the square.
+    On the regular branch k depends only on sigma_2, tau_tilde_1 and
+    sigma_tilde_2, so the constant term c of sigma_tilde enters the
+    under-root quadratic q only through q0, with dq0/dc = -1.  q is a square
+    where q1^2 = 4 q2 q0, so the level is c + q0 - q1^2/(4 q2); ``reduce``
+    then checks the square there.  Raises NotAPerfectSquareError when q2
+    vanishes, since c then fixes no level.
     """
-
-    def discriminant(eps):
-        ode = family(eps)
-        q = _under_root(ode, _regular_branch(ode, n)[0])[0]
-        q0, q1, q2 = (_coef(q, i) for i in range(3))
-        return q1 * q1 - 4.0 * q2 * q0
-
-    x0, x1 = float(start), float(start) + float(step)
-    d0 = discriminant(x0)
-    for _ in range(_SECANT_STEPS):
-        d1 = discriminant(x1)
-        if d1 == 0.0 or d1 == d0:  # a root, or no slope: left to the check
-            break
-        x0, x1, d0 = x1, x1 - d1 * (x1 - x0) / (d1 - d0), d1
-        if _negligible(x1 - x0, x1, step):
-            break
-    else:
-        raise MaxIterationsError(f"the secant found no level in {_SECANT_STEPS} steps")
-    reduce(family(x1), n)
-    return x1
+    q, terms = _under_root(ode, _regular_branch(ode, n)[0])
+    q0, q1, q2 = (_coef(q, i) for i in range(3))
+    if _negligible(q2, _coef(terms, 2)):
+        raise NotAPerfectSquareError("under-root quadratic has no s^2 term")
+    c = _coef(ode.sigma_tilde, 0) + q0 - q1 * q1 / (4.0 * q2)
+    reduce(replace(ode, sigma_tilde=(c,) + ode.sigma_tilde[1:]), n)
+    return c
 
 
 def rodrigues_polynomial(sigma, tau, n: int) -> tuple:

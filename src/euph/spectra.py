@@ -272,20 +272,13 @@ def _epsilon_closed(model: DeformationModel, l: int, n: int) -> float:
 def energy_via_nu(model: DeformationModel, qn: QuantumNumbers) -> float:
     """Level energy from the reduction engine alone, with no closed-form input.
 
-    Regularity at the origin (s -> inf) picks the branch, and the secant
-    method finds the level from the Bohr value eps = -eta^2/(4n^2) with step
-    n^2 (``nu_engine.solve_level``).
+    Regularity at the origin (s -> inf) picks the branch, and the level is
+    the constant term eps that makes the under-root quadratic a square, in
+    one step from the ODE at eps = 0 (``nu_engine.solve_level``).
     """
     from . import nu_engine as nu
 
-    eta = scaled_eta(model)
-    eps = nu.solve_level(
-        lambda e: hydrogen_ode(model, qn.l, e),
-        qn.n_r,
-        -eta * eta / (4.0 * qn.n * qn.n),
-        qn.n * qn.n,
-    )
-    return energy_of_epsilon(model, eps)
+    return energy_of_epsilon(model, nu.solve_level(hydrogen_ode(model, qn.l, 0.0), qn.n_r))
 
 
 def reduce_level(model: DeformationModel, qn: QuantumNumbers) -> nu.NUReduction:

@@ -22,7 +22,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import integrate, spectra
-from .errors import DomainError, NonNormalizableError, ValidationError
+from .errors import ConvergenceError, DomainError, NonNormalizableError, ValidationError
 from .model import DeformationModel, QuantumNumbers
 from .polynomials import poly_coefficients
 
@@ -163,28 +163,29 @@ def _normalize(
     """
     coeffs = np.asarray(poly_coeffs)
     rate = _envelope_rate(model.tau, params)
-    if model.tau == 1:
-        alpha, beta = 2.0 * rate - 2.0, 2.0 * qn.l + 2.0
-        u, w = integrate.gauss_jacobi_u(qn.n_r + 1, alpha, beta)
-        q = u**qn.n_r * npoly.polyval(2.0 / u - 1.0, coeffs)
-        total = float(np.dot(w, (2.0 - u) * q * q))
-        # log of 2^-(2+2 delta) times the weight's mass B(beta+1, alpha+1)
-        shift = -(2.0 + 2.0 * params.delta) * math.log(2.0) + math.lgamma(beta + 1.0)
-        shift -= sum(math.log(alpha + j) for j in range(1, 2 * qn.l + 4))
-        y_end = npoly.polyval(1.0, coeffs)
-    else:
-        hi = min(0.5 * math.pi, (60.0 + 4.0 * qn.n) / (2.0 * rate))
-        x, w = integrate.LEGENDRE_64
-        phi = 0.5 * hi * (x + 1.0)
-        sin = np.sin(phi)
-        z = sin**qn.n_r * npoly.polyval(np.cos(phi) / sin, coeffs)
-        log_f = (2.0 * qn.l + 2.0) * np.log(sin) + np.log(np.cos(phi)) - 2.0 * rate * phi
-        log_f += 2.0 * np.log(np.abs(z))
-        shift = float(np.max(log_f))
-        total = 0.5 * hi * float(np.dot(w, np.exp(log_f - shift)))
-        y_end = coeffs[0]
+    with np.errstate(all="ignore"):  # a non-finite sum is reported below
+        if model.tau == 1:
+            alpha, beta = 2.0 * rate - 2.0, 2.0 * qn.l + 2.0
+            u, w = integrate.gauss_jacobi_u(qn.n_r + 1, alpha, beta)
+            q = u**qn.n_r * npoly.polyval(2.0 / u - 1.0, coeffs)
+            total = float(np.dot(w, (2.0 - u) * q * q))
+            # log of 2^-(2+2 delta) times the weight's mass B(beta+1, alpha+1)
+            shift = -(2.0 + 2.0 * params.delta) * math.log(2.0) + math.lgamma(beta + 1.0)
+            shift -= sum(math.log(alpha + j) for j in range(1, 2 * qn.l + 4))
+            y_end = npoly.polyval(1.0, coeffs)
+        else:
+            hi = min(0.5 * math.pi, (60.0 + 4.0 * qn.n) / (2.0 * rate))
+            x, w = integrate.LEGENDRE_64
+            phi = 0.5 * hi * (x + 1.0)
+            sin = np.sin(phi)
+            z = sin**qn.n_r * npoly.polyval(np.cos(phi) / sin, coeffs)
+            log_f = (2.0 * qn.l + 2.0) * np.log(sin) + np.log(np.cos(phi)) - 2.0 * rate * phi
+            log_f += 2.0 * np.log(np.abs(z))
+            shift = float(np.max(log_f))
+            total = 0.5 * hi * float(np.dot(w, np.exp(log_f - shift)))
+            y_end = coeffs[0]
     if not (total > 0.0 and math.isfinite(total) and math.isfinite(shift)):
-        raise NonNormalizableError("normalization sum is not positive and finite")
+        raise ConvergenceError("normalization sum is not positive and finite")
     log_norm = 0.5 * (shift + math.log(total) - math.log(model.lam_au))
     # phase: positive toward the decaying end (dS tail s -> 1, AdS wall s -> 0)
     return log_norm, -1.0 if y_end < 0.0 else 1.0

@@ -98,6 +98,7 @@ INVOCATIONS = [
     "wavefunction --model ds --lambda 0.05 --n 3 --l 0 --units si",
     "wavefunction --model ads --lambda 0.01 --n 1 --l 0 --samples 0",
     "wavefunction --model ds --lambda 1e-12 --n 40 --l 3 --format json",
+    "wavefunction --model ds --lambda 3.7e-53 --units si --n 10 --l 0",
     # verify
     "verify --lambdas 0.001,0.01 --n-max 3",
     "verify --lambdas 0.001,0.01 --n-max 3 --format json",
@@ -110,6 +111,7 @@ INVOCATIONS = [
     "verify --lambdas 0.01 --n-max 5",
     "verify --lambdas 1e-310 --n-max 2",
     "verify --lambdas 1e-300 --units si --n-max 2 --format json",
+    "verify --lambdas 1e-290 --n-max 4",
     # bound
     "bound --precision 1e-15",
     "bound --precision 1e-15 --format json",

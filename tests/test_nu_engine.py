@@ -10,9 +10,8 @@ from euph import nu_engine as nu
 from euph import spectra
 from euph import wavefunctions as wf
 from euph.errors import (
-    EuphError,
-    MaxIterationsError,
     NoBoundBranchError,
+    NotAPerfectSquareError,
     ValidationError,
 )
 from euph.model import HARTREE, SI, DeformationModel, QuantumNumbers
@@ -232,29 +231,60 @@ class TestSolveLevel:
     def test_ads_level(self):
         # lam=0.01, l=0, n=2: quantized eps = n^2 - A - eta^2/(4n^2) = -21.5
         model = DeformationModel(tau=-1, lam=0.01)
-        eta = spectra.scaled_eta(model)
-        # from the Bohr value -eta^2/(4n^2) = -25 with step n^2 = 4
-        eps = nu.solve_level(lambda e: ads_ode(0, eta, e), 1, -25.0, 4.0)
+        eps = nu.solve_level(ads_ode(0, spectra.scaled_eta(model), 0.0), 1)
         assert eps == pytest.approx(-21.5, abs=1e-9)
 
     def test_ds_ground(self):
         # lam=0.1, l=0, n=1: quantized eps = A - 1 - eta^2/4 = -10.5
         model = DeformationModel(tau=1, lam=0.1)
-        eta = spectra.scaled_eta(model)
-        eps = nu.solve_level(lambda e: ds_ode(0, eta, e), 0, -eta * eta / 4.0, 1.0)
+        eps = nu.solve_level(ds_ode(0, spectra.scaled_eta(model), 0.0), 0)
         assert eps == pytest.approx(-10.5, abs=1e-9)
 
-    def test_no_sign_change(self):
-        # eps does not enter this family and -40 is no level: a typed error
-        model = DeformationModel(tau=-1, lam=0.01)
-        eta = spectra.scaled_eta(model)
-        with pytest.raises(EuphError):
-            nu.solve_level(lambda e: ads_ode(0, eta, -40.0), 1, -25.0, 4.0)
+    def test_level_does_not_depend_on_the_given_constant_term(self):
+        eta = spectra.scaled_eta(DeformationModel(tau=-1, lam=0.01))
+        assert nu.solve_level(ads_ode(0, eta, 0.0), 1) == pytest.approx(
+            nu.solve_level(ads_ode(0, eta, -40.0), 1), abs=1e-12
+        )
 
-    def test_no_level_reaches_the_step_cap(self):
-        # eps enters squared here and the discriminant 328 + 16 eps^2 has no zero
-        with pytest.raises(MaxIterationsError):
-            nu.solve_level(lambda e: ads_ode(0, 20.0, -1.0 + e * e), 1, -25.0, 4.0)
+    def test_underflowed_square_term_fixes_no_level(self):
+        # q2 = (pi_1 - h_1)^2 = sigma_2^2/4 underflows to 0 while sigma_2^2 does
+        # not: the constant term then fixes no level
+        s2 = 3e-162
+        ode = nu.HypergeometricODE(sigma=(1.0, 0.0, s2), tau_tilde=(0.0, s2), sigma_tilde=(1.0, 1.0))
+        with pytest.raises(NotAPerfectSquareError):
+            nu.solve_level(ode, 0)
+
+    def test_one_under_root_quadratic_and_one_reduction_per_level(self, monkeypatch):
+        calls = {"_under_root": 0, "reduce": 0}
+
+        def counted(name):
+            inner = getattr(nu, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nu, name, counted(name))
+        for tau, lam, n, l in [(1, 1e-3, 3, 1), (-1, 1e-2, 4, 0)]:
+            calls.update(dict.fromkeys(calls, 0))
+            spectra.energy_via_nu(DeformationModel(tau, lam), QuantumNumbers(n, l))
+            # one quadratic for the level, and one inside reduce's square check
+            assert calls == {"_under_root": 2, "reduce": 1}
+
+    @pytest.mark.parametrize("units", [HARTREE, SI], ids=["hartree", "si"])
+    @pytest.mark.parametrize("tau", [1, -1], ids=["ds", "ads"])
+    def test_matches_closed_form_down_to_the_cosmological_lambda(self, tau, units):
+        for k in range(-73, 1):
+            model = DeformationModel(tau, 10.0**k / units.bohr_radius**2, units=units)
+            for n in range(1, 7):
+                for l in range(n):
+                    qn = QuantumNumbers(n, l)
+                    level = spectra.energy(model, qn)
+                    scale = abs(level.bohr_term) + abs(level.correction)
+                    assert abs(spectra.energy_via_nu(model, qn) - level.energy) <= 1e-15 * scale, (k, qn)
 
 
 class TestPhysicalRange:

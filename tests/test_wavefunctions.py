@@ -233,6 +233,13 @@ class TestNormalization:
                 state = wf.build_state(model, QuantumNumbers(n, l))
                 assert abs(wf.radial_overlap(state, state) - 1.0) <= 1e-13, (eps, l)
 
+    def test_overflowing_sum_of_a_bound_state_is_a_numerical_failure(self):
+        # the Rodrigues coefficients of AdS (4,0) overflow the sum here; every
+        # AdS state is bound, so this is no NonNormalizableError, and no numpy
+        # warning escapes under the error filter
+        with pytest.raises(ConvergenceError, match="not positive and finite"):
+            wf.build_state(DeformationModel(-1, 1e-250), QuantumNumbers(4, 0))
+
 class TestTinyLambdaDS:
     # below lam ~ 1e-33 a0^-2 the Jacobi parameters a, b = -n +- eta/(2n)
     # pass 2^53 n, so a state built from them loses a + b = -2n, and the
