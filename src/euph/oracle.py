@@ -13,28 +13,27 @@ Table 4.1):
   E = (lam/2)(E_phi - (l+1/2)^2 - 3/4).  The wall is phi = pi/2, and
   phi > pi/2 continues the radial line through it.
 
-Each operator is solved on a Lagrange mesh (D. Baye, Phys. Rep. 565 (2015)
-1) as one dense symmetric eigenproblem, of order N = 40 to 100 as the block
-needs (``_mesh_order``).  The meshes use the coefficients of the radial
-equation only, never a closed-form energy, so agreement is a genuine
-cross-check.
+Each operator is solved in weak form on a Lagrange-Legendre mesh (D. Baye,
+Phys. Rep. 565 (2015) 1) as one dense symmetric eigenproblem of order
+N = 40 to 100, its nodes x_i mapped onto the atom by a scale kappa
+(``_mesh_order``; J. P. Boyd, Chebyshev and Fourier Spectral Methods, Dover
+2001, ch. 17).  The meshes use only the radial equation's coefficients,
+never a closed-form energy, so agreement is a genuine cross-check.
 
-- dS: a regularized Lagrange-Laguerre mesh theta = h x_i,
-  h = min(sqrt(lam), 0.1) (x 1.5 on the order-40 mesh), with the kinetic
-  matrix in the Gauss approximation.
-- AdS: a Lagrange-Legendre mesh in the angle t = arctan s = pi/2 - phi on
-  (-pi/2, pi/2), in weak form on G = R/sqrt(cos t), which is smooth at both
-  images of the origin: stiffness int cos^2 t G' f', mass int cos^2 t G f
-  and the entire potential -(l+1/2)^2 sin^2 t + eta sin t cos t + 1/4 -
-  3/4 cos^2 t, with E = (lam/2)(eps - 1/2).  The wall t = 0 is a regular
-  interior point.  tan(phi/2) = kappa tan(pi(1 - x_i)/4) maps the nodes onto
-  the atom, kappa = min(1, 1.25 sqrt(lam) max(l + count, 4)^2) (J. P. Boyd,
-  Chebyshev and Fourier Spectral Methods, Dover 2001, ch. 17).
+- dS: theta = kappa tan(pi(1 + x_i)/4) on v = cos(pi x/2) g.  The cross term
+  of int v'^2 dtheta, integrated by parts, leaves the t-mesh's stiffness
+  plus a diagonal.
+- AdS: the angle t = arctan s = pi/2 - phi on (-pi/2, pi/2), on
+  G = R/sqrt(cos t), which is smooth at both images of the origin:
+  stiffness int cos^2 t G' f', mass int cos^2 t G f and the entire
+  potential -(l+1/2)^2 sin^2 t + eta sin t cos t + 1/4 - 3/4 cos^2 t, with
+  E = (lam/2)(eps - 1/2).  The wall t = 0 is a regular interior point.
+  tan(phi/2) = kappa tan(pi(1 - x_i)/4) maps the nodes.
 
 The eigenvalues are solved again on the mesh of order 3N/2, and each
-state's |E_N - E_3N/2| in Hartree is its error estimate.  Mesh coefficients
-have the sign of the wavefunction at the nodes, so their sign changes count
-its nodes.
+state's |E_N - E_3N/2| in Hartree is its error estimate.  An eigenvector
+over sqrt(w dy/dx), y the mesh coordinate, is v at the nodes, and its sign
+changes count the state's nodes (the coefficients alone carry tail noise).
 
 Everything is solved in Hartree units (lam_au = lam a0^2); energies are
 converted (x E_h) on the way out.
@@ -65,11 +64,10 @@ __all__ = [
 # an ok crosscheck cell whose error estimate exceeds this times |E_Bohr(n)|
 # = 1/(2 n^2) Ha becomes an error cell.  The estimate is absolute, so it
 # stays finite where a level crosses E = 0 (the AdS critical deformations).
-# dS levels in or next to the continuum, which a mesh turns into a
-# pseudo-continuum, exceed it by orders of magnitude; hence a bound per
-# state, not per block
+# A dS level about to leave the spectrum can exceed it while the rest of its
+# block is resolved; hence a bound per state, not per block
 ESTIMATE_BOUND = 1e-6
-# coefficients below this fraction of max|row| carry no sign
+# values of v below this fraction of max|v| carry no sign
 _NODE_TOL = 1e-8
 
 
@@ -80,7 +78,7 @@ class OracleSpectrum:
     model: DeformationModel
     l: int
     eigenvalues: tuple  # energies, ascending
-    eigenvectors: np.ndarray  # row k: mesh coefficients of state k
+    eigenvectors: np.ndarray  # row k: state k's v at the nodes
     coordinate: str  # "theta" (dS) or "t" (AdS)
     convergence_estimate: tuple  # per state |E_N - E_3N/2| in Hartree
 
@@ -113,21 +111,6 @@ def _frozen(*arrays):
 
 
 @functools.cache
-def _laguerre_mesh(n):
-    """Zeros x_i of L_n and the Gauss-approximation matrix of -d^2/dx^2 on
-    the regularized Laguerre basis (Baye 2015)."""
-    x = np.polynomial.laguerre.laggauss(n)[0]
-    i = np.arange(n)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    sign = 1.0 - 2.0 * ((i[:, None] + i[None, :]) % 2)
-    root = np.sqrt(x)
-    kinetic = sign * (x[:, None] + x[None, :]) / (root[:, None] * root[None, :] * diff**2)
-    np.fill_diagonal(kinetic, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
-    return _frozen(x, kinetic)
-
-
-@functools.cache
 def _legendre_mesh(n):
     """Gauss-Legendre nodes and weights, and the derivatives D_ij of the
     Lagrange interpolant j at node i.  The barycentric weights are scaled,
@@ -142,38 +125,60 @@ def _legendre_mesh(n):
     return _frozen(x, w, deriv)
 
 
+def _stiffness(w, deriv, c, root):
+    """Gauss form of int c^2 g'^2 dx / y' on q = sqrt(w y') c g, for a mesh
+    coordinate y(x) with root^2 = y'/(pi/2): the stiffness of both meshes."""
+    m = np.sqrt(w) * c
+    k = (2.0 / math.pi) * ((m / root)[:, None] * deriv / (m * root)[None, :])
+    return k.T @ k
+
+
+@functools.cache
+def _half_line(n):
+    """The theta-mesh at kappa = 1: tan(pi (1 + x_i)/4), sqrt(w dtheta/dx),
+    and the stiffness of v = cos(pi x/2) g, its cross term integrated by parts
+    into the diagonal (1 - 2 sin(pi x/2))/root^2: summed by the Gauss rule
+    instead, the cross term fails crosscheck cells."""
+    x, w, deriv = _legendre_mesh(n)
+    theta = np.tan(0.25 * math.pi * (1.0 + x))
+    root2 = 0.5 * (1.0 + theta * theta)  # dtheta/dx / (pi/2)
+    cross = (1.0 - 2.0 * np.sin(0.5 * math.pi * x)) / root2
+    stiffness = _stiffness(w, deriv, np.cos(0.5 * math.pi * x), np.sqrt(root2)) + np.diag(cross)
+    return _frozen(theta, np.sqrt(0.5 * math.pi * w * root2), stiffness)
+
+
 def _mesh_order(model, l, count):
-    """Order N of the block's mesh and its scale: Laguerre step h or kappa.
+    """Order N of the block's mesh and its map scale kappa.
 
-    Blocks up to n = 4 take an order measured to resolve each bound level's
-    shift E - E_Bohr as well as order 100 does: 40 on the theta-mesh, with
-    the step 1.5 h that puts the basis decay e^(-x/2) between those of
-    levels 2 and 4, and on the t-mesh at kappa = 1; 60 on the mapped t-mesh,
-    where 40 breaks ground-state node counts.  Every block above n = 4, and
-    a dS block with a level about to leave the spectrum (Jacobi parameter
-    1/(n sqrt(lam)) - n in (0, 1)), which spreads beyond the order-40 mesh,
-    keeps order 100 and h = min(sqrt(lam), 0.1).
+    kappa draws the nodes onto the atom by n_top = max(l + count, 4):
+    min(1, 1.25 sqrt(lam) n_top^2) on the t-mesh, min(4, 2.5 sqrt(lam)
+    n_top^2) on the theta-mesh (uncapped, it miscounts ground-state nodes
+    above lam = 0.1; capped at 2, (4,3) at 3e-3).  Blocks up to n = 4 take
+    order 40, which resolves each bound level's shift E - E_Bohr, except the
+    mapped t-mesh (60; 40 breaks ground-state node counts) and a dS block
+    with a level about to leave the spectrum (Jacobi parameter
+    1/(n sqrt(lam)) - n in (0, 1)), where 40 miscounts the nodes of levels
+    above the continuum edge.  Those and all blocks above n = 4 take 100.
     """
-    lam = model.lam_au
+    top, root = l + count, math.sqrt(model.lam_au)
     if model.tau == -1:
-        kappa = min(1.0, 1.25 * math.sqrt(lam) * max(l + count, 4) ** 2)
-        return (100 if l + count > 4 else 40 if kappa == 1.0 else 60), kappa
-    h = min(math.sqrt(lam), 0.1)
-    if l + count <= 4 and not any(
-        0.0 < 1.0 / (n * math.sqrt(lam)) - n < 1.0 for n in range(l + 1, l + count + 1)
-    ):
-        return 40, 1.5 * h
-    return 100, h
+        kappa = min(1.0, 1.25 * root * max(top, 4) ** 2)
+        return (100 if top > 4 else 40 if kappa == 1.0 else 60), kappa
+    window = any(0.0 < 1.0 / (n * root) - n < 1.0 for n in range(l + 1, top + 1))
+    return (100 if top > 4 or window else 40), min(4.0, 2.5 * root * max(top, 4) ** 2)
 
 
-def _mesh_problem(model, l, n, scale):
-    """Symmetric mesh matrix of order n at ``_mesh_order``'s scale, and
-    (a, b) with E = a e + b in Hartree for each of its eigenvalues e.
+def _mesh_problem(model, l, n, kappa):
+    """Symmetric mesh matrix of order n at ``_mesh_order``'s kappa, (a, b)
+    with E = a e + b in Hartree for each of its eigenvalues e, and
+    sqrt(w dy/dx) at the nodes, y the mesh coordinate.
 
     The t-mesh's map changes only cos t and sin t at the nodes, formed from
     u = tan(phi/2) so nothing cancels at tiny lam, and the stiffness, by
     dt/dx.  At kappa = 1 they come from t = pi x/2 itself: the u form puts
     the E = 0 rows of the AdS critical deformations past their round-off.
+    The theta-mesh's stiffness scales as 1/kappa^2, so its matrix times
+    kappa^2 is the kappa = 1 stiffness plus kappa^2 V: O(1) at any lam.
 
     Raises ConvergenceError when an entry is not finite: below lam_au of
     about 1e-303 the terms at the nodes nearest the origin overflow.
@@ -183,56 +188,49 @@ def _mesh_problem(model, l, n, scale):
     with np.errstate(all="ignore"):  # an overflow is reported below
         if model.tau == -1:
             x, w, deriv = _legendre_mesh(n)
-            if scale == 1.0:
+            if kappa == 1.0:
                 c, s, root = np.cos(0.5 * math.pi * x), np.sin(0.5 * math.pi * x), 1.0
             else:
                 v = np.tan(0.25 * math.pi * (1.0 - x))
-                u = scale * v
+                u = kappa * v
                 c, s = 2.0 * u / (1.0 + u * u), (1.0 - u * u) / (1.0 + u * u)
-                root = np.sqrt(scale * (1.0 + v * v) / (1.0 + u * u))  # of dt/dx / (pi/2)
+                root = np.sqrt(kappa * (1.0 + v * v) / (1.0 + u * u))  # of dt/dx / (pi/2)
             potential = -((l + 0.5) ** 2) * s * s + eta * s * c + 0.25 - 0.75 * c * c
-            m = np.sqrt(w) * c
-            stiffness = (2.0 / math.pi) * ((m / root)[:, None] * deriv / (m * root)[None, :])
-            matrix = stiffness.T @ stiffness - np.diag(potential / (c * c))
+            matrix = _stiffness(w, deriv, c, root) - np.diag(potential / (c * c))
+            jacobian = np.sqrt(0.5 * math.pi * w) * root
             a, b = 0.5 * lam, -0.25 * lam
         else:
-            # the Laguerre forms times h^2, which keeps every entry O(1) at any lam
-            x, kinetic = _laguerre_mesh(n)
-            potential = l * (l + 1.0) / np.sinh(scale * x) ** 2 - eta / np.tanh(scale * x)
-            matrix = kinetic + np.diag(scale * scale * potential)
-            a, b = 0.5 * lam / (scale * scale), 0.5 * lam * ((l + 0.5) ** 2 + 0.75)
+            theta, jacobian, stiffness = _half_line(n)
+            potential = l * (l + 1.0) / np.sinh(kappa * theta) ** 2 - eta / np.tanh(kappa * theta)
+            matrix, jacobian = stiffness + np.diag(kappa * kappa * potential), math.sqrt(kappa) * jacobian
+            a, b = 0.5 * lam / (kappa * kappa), 0.5 * lam * ((l + 0.5) ** 2 + 0.75)
     if not np.isfinite(matrix).all():
         raise ConvergenceError(f"mesh matrix is not finite at lam = {lam:.3g} a0^-2")
-    return matrix, a, b
+    return matrix, a, b, jacobian
 
 
 def fd_spectrum(model: DeformationModel, l: int, count: int) -> OracleSpectrum:
-    """Lowest ``count`` radial energies and mesh eigenvectors.
-
-    The mesh is the theta-mesh for dS and the t-mesh for AdS.  Its order N
-    and scale come from the block (``_mesh_order``).  The eigenvalues are solved again at order
-    3N/2, and each state's change in Hartree is stored as its error
-    estimate.
-    """
+    """Lowest ``count`` radial energies, and v at the mesh nodes, on the
+    theta-mesh (dS) or the t-mesh (AdS) at ``_mesh_order``'s N and kappa;
+    each state's change at order 3N/2, in Hartree, is its error estimate."""
     if count < 1 or count > 10:
         raise ValidationError("count must lie in [1, 10]")
     if l < 0:
         raise ValidationError("l must be nonnegative")
 
-    order, scale = _mesh_order(model, l, count)
-    matrix, a, b = _mesh_problem(model, l, order, scale)
+    order, kappa = _mesh_order(model, l, count)
+    matrix, a, b, jacobian = _mesh_problem(model, l, order, kappa)
     values, vectors = eigh_tridiagonal(matrix, True)
     energies = [a * e + b for e in values[:count]]
-    matrix, a, b = _mesh_problem(model, l, 3 * order // 2, scale)
+    matrix, a, b, _ = _mesh_problem(model, l, 3 * order // 2, kappa)
     checks = [a * e + b for e in eigh_tridiagonal(matrix, False)[:count]]
     estimates = tuple(float(abs(e - c)) for e, c in zip(energies, checks))
 
-    e_h = model.units.hartree_energy
     return OracleSpectrum(
         model=model,
         l=l,
-        eigenvalues=tuple(float(e) * e_h for e in energies),
-        eigenvectors=vectors[:, :count].T,
+        eigenvalues=tuple(float(e) * model.units.hartree_energy for e in energies),
+        eigenvectors=vectors[:, :count].T / jacobian,
         coordinate="theta" if model.tau == 1 else "t",
         convergence_estimate=estimates,
     )

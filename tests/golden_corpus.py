@@ -13,7 +13,11 @@ absolute floor for the E = 0 rows at lam_c.  The rel_dev maxima in its
 summary and stdout line are masked when they equal the maxima of the rows.
 
 Run from the repo root to list the entries that moved against the manifest
-(exit 1 if any did); ``--write`` rewrites the manifest:
+(exit 1 if any did); ``--write`` stores the entries that moved or were
+added and keeps every other entry's stored bytes.  To refresh an unmoved
+entry, delete it from the manifest and ``--write`` stores it again.  The
+manifest's host record names the machine that first wrote it; an entry
+stored later may come from another:
 
     PYTHONPATH=src python tests/golden_corpus.py [--write]
 """
@@ -251,23 +255,38 @@ def load():
     return json.loads(MANIFEST.read_text())
 
 
-def main():
-    write = "--write" in sys.argv[1:]
-    old = load()["entries"] if MANIFEST.exists() else {}
+def regenerate(old, fresh):
+    """The manifest text that ``--write`` stores, and the entries that moved,
+    were added or were removed, given the manifest ``old`` and the ``fresh``
+    entry of every command.  Only moved and added entries take the fresh
+    one."""
     entries, changes = {}, []
     for command in INVOCATIONS:
-        with tempfile.TemporaryDirectory() as root:
-            entries[command] = run(command, root)
-        if command not in old:
+        entries[command] = fresh[command]
+        if command not in old["entries"]:
             changes.append(f"added: {command}")
-        elif fields := moved(command, old[command], entries[command]):
+        elif fields := moved(command, old["entries"][command], fresh[command]):
             changes.append(f"moved: {command} ({', '.join(fields)})")
-    changes += [f"removed: {command}" for command in old if command not in entries]
+        else:
+            entries[command] = old["entries"][command]
+    changes += [f"removed: {command}" for command in old["entries"] if command not in entries]
+    manifest = {"host": old["host"] or host(), "entries": entries}
+    return json.dumps(manifest, indent=1) + "\n", changes
+
+
+def main():
+    write = "--write" in sys.argv[1:]
+    old = load() if MANIFEST.exists() else {"host": None, "entries": {}}
+    fresh = {}
+    for command in INVOCATIONS:
+        with tempfile.TemporaryDirectory() as root:
+            fresh[command] = run(command, root)
+    text, changes = regenerate(old, fresh)
     print("\n".join(changes) or "no entry moved")
     if write:
         MANIFEST.parent.mkdir(exist_ok=True)
-        MANIFEST.write_text(json.dumps({"host": host(), "entries": entries}, indent=1) + "\n")
-        print(f"wrote {len(entries)} entries to {MANIFEST}")
+        MANIFEST.write_text(text)
+        print(f"wrote {len(INVOCATIONS)} entries to {MANIFEST}")
     return 1 if changes and not write else 0
 
 

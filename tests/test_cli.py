@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,41 @@ class TestSpectrum:
         assert payload["rows"][0][2] == -0.5
 
 
+@st.composite
+def _invocations(draw):
+    """One CLI invocation: a command and flags at the edges of their ranges."""
+    number = st.one_of(
+        st.builds("{}e{}".format, st.integers(1, 9), st.integers(-330, 308)),
+        st.builds("{}e{}".format, st.integers(1, 9), st.integers(-6, -1)),
+        st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1e-3", "-5"]),
+    )
+    level = st.integers(-1, 70).map(str)
+    common = ["--units", draw(st.sampled_from(["hartree", "si"])),
+              "--format", draw(st.sampled_from(["csv", "json"]))]
+    model = ["--model", draw(st.sampled_from(["ds", "ads"])), "--lambda", draw(number)]
+    span = f"{draw(number)}:{draw(number)}:{draw(st.integers(-1, 12))}"
+    command = draw(st.sampled_from(
+        ["spectrum", "tables", "figure1", "figure2", "wavefunction", "verify", "bound"]))
+    if command == "spectrum":
+        return ["spectrum", *model, *common, "--n-max", draw(level)]
+    if command == "tables":
+        return ["tables", "--n-max", draw(level), *common[2:]]
+    if command == "figure1":
+        return ["figure1", "--lambda", draw(number), f"--dx-range={span}", *common]
+    if command == "figure2":
+        levels = ",".join(draw(st.lists(level, min_size=1, max_size=3)))
+        return ["figure2", f"--lambda-range={span}", "--levels", levels, *common]
+    if command == "wavefunction":
+        n = draw(st.integers(-1, 70))
+        l = draw(st.integers(-1, max(n, 0)))
+        return ["wavefunction", *model, *common, "--n", str(n), "--l", str(l),
+                "--samples", str(draw(st.integers(-1, 40)))]
+    if command == "verify":
+        lambdas = ",".join(draw(st.lists(number, min_size=1, max_size=2)))
+        return ["verify", "--lambdas", lambdas, *common, "--n-max", str(draw(st.integers(-1, 4)))]
+    return ["bound", "--precision", draw(number), *common]
+
+
 class TestExitContract:
     def test_malformed_range_exits_2(self, tmp_path, capsys):
         assert run(["figure1", "--lambda", "0.04", "--dx-range", "a:b:c",
@@ -130,6 +169,27 @@ class TestExitContract:
     def test_flag_abbreviation_is_rejected(self, tmp_path, capsys):
         assert run(["tables", "--output", str(tmp_path / "x.csv")]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_invocations())
+    def test_any_invocation_keeps_the_exit_contract(self, argv):
+        # every command, lam from 1e-330 to 1e308 and beyond, both presets,
+        # n and --n-max from -1 to 70 (verify to 4): exit 0, 2 or 3, with no
+        # traceback and no warning
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as root, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            os.chdir(root)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3), (argv, code)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+
 
 
 _SI_SCALE = st.sampled_from([0.0, -0.0, 5e-324, 1e-11, -3e-10, 2.5e-10, 1e20, -7e19])
@@ -205,7 +265,7 @@ def test_library_imports_no_scipy(tmp_path):
         for mod, attr, _ in spans.TARGETS:
             getattr(importlib.import_module("euph." + mod), attr)
         # the meshes are built on the first solve, not on import
-        assert oracle._laguerre_mesh.cache_info().currsize == 0
+        assert oracle._half_line.cache_info().currsize == 0
         assert oracle._legendre_mesh.cache_info().currsize == 0
         oracle.fd_spectrum(DeformationModel(1, 1e-3), 0, 1)
         report = oracle.crosscheck_report([1e-3], 2)

@@ -169,20 +169,42 @@ class TestConvergenceGuard:
             assert row["status"].startswith("error: mesh estimate"), row
         assert report.summary["errors"] == 6
 
-    def test_unbound_level_does_not_fail_its_block(self):
-        # dS lam = 0.01: (4,0) lies in the continuum, where the mesh has a
-        # pseudo-continuum and the estimate is large; the bound (1,0) and
+    def test_unbound_level_does_not_fail_its_block(self, monkeypatch):
+        # dS lam = 0.01: (4,0) lies in the continuum, where the mesh's fourth
+        # level is its pseudo-continuum's lowest, at the edge
+        # -sqrt(lam) + (lam/2)(l^2 + l + 1) = -0.095 Ha; the bound (1,0) and
         # (2,0) of the same block stay ok and the labels of (3,0) and (4,0)
         # stand
         model = ds(0.01)
         spec = oracle.fd_spectrum(model, 0, 4)
-        assert spec.convergence_estimate[3] > oracle.ESTIMATE_BOUND
+        assert abs(spec.eigenvalues[3] - (-0.095)) <= 1e-8
         assert max(spec.convergence_estimate[:2]) <= oracle.ESTIMATE_BOUND
         report = oracle.crosscheck_report([0.01], 4)
         labels = {r["n"]: r["status"] for r in report.rows if r["model"] == "ds" and r["l"] == 0}
         assert labels == {
             1: "ok",
             2: "ok",
+            3: "above-threshold",
+            4: "closed form not normalizable",
+        }
+
+        # the gate is per state: when only the second level's check solve
+        # drifts by 1e-3, (2,0) alone becomes an error cell
+        solve = oracle.eigh_tridiagonal
+
+        def degraded(matrix, vectors=True):
+            if vectors:
+                return solve(matrix, True)
+            values = solve(matrix, False).copy()
+            values[1] *= 1.0 + 1e-3
+            return values
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", degraded)
+        report = oracle.crosscheck_report([0.01], 4)
+        labels = {r["n"]: r["status"] for r in report.rows if r["model"] == "ds" and r["l"] == 0}
+        assert labels[2].startswith("error: mesh estimate"), labels
+        assert {n: labels[n] for n in (1, 3, 4)} == {
+            1: "ok",
             3: "above-threshold",
             4: "closed form not normalizable",
         }
@@ -308,8 +330,8 @@ class TestWholeRange:
 
 
 class TestReach:
-    """The t-mesh's map draws its nodes onto the atom by the block's top
-    level, so the AdS oracle reaches n = 20 from lam = 1e-12 to 1e-4."""
+    """Both meshes' maps draw their nodes onto the atom by the block's top
+    level, so the oracle reaches n = 20 from lam = 1e-12 to 1e-4."""
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-8, 1e-6, 1e-5, 1e-4])
     @pytest.mark.parametrize("l", [0, 5, 10])
@@ -330,4 +352,42 @@ class TestReach:
                 spec = oracle.fd_spectrum(ads(float(lam)), l, count)
                 if spec.node_counts() != list(range(count)):
                     wrong.append((float(lam), l, spec.node_counts()))
+        assert wrong == []
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-8, 1e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("l", [0, 5, 10])
+    def test_ten_ds_levels(self, l, lam):
+        # a bound level (lam < 1/n^4) whose estimate passes its gate is
+        # resolved and has n - l - 1 nodes; near the edge of the spectrum a
+        # level may be flagged instead, and at most one is
+        model = ds(lam)
+        spec = oracle.fd_spectrum(model, l, 10)
+        nodes = spec.node_counts()
+        bound = [k for k in range(10) if lam < 1.0 / (l + 1 + k) ** 4]
+        checked = 0
+        for k in bound:
+            n = l + 1 + k
+            if spec.convergence_estimate[k] > oracle.ESTIMATE_BOUND / (2 * n * n):
+                continue
+            want = spectra.energy(model, QuantumNumbers(n, l)).energy
+            assert abs(spec.eigenvalues[k] - want) <= 1e-10 * abs(want), (n, l)
+            assert nodes[k] == k, (n, l, nodes)
+            checked += 1
+        assert checked >= len(bound) - 1
+
+    def test_ds_node_counts_over_the_whole_range(self):
+        # a dS block whose levels all have Jacobi parameter
+        # 1/(n sqrt(lam)) - n > 1/2 holds square-integrable states, so its
+        # mesh vectors carry 0, 1, ... nodes from lam = 1e-300 to 1e-2
+        wrong, checked = [], 0
+        for lam in np.logspace(-300, -2, 121):
+            lam = float(lam)
+            for l, count in [(0, 4), (1, 3), (3, 1), (0, 6), (10, 3)]:
+                if any(1.0 / (n * math.sqrt(lam)) - n <= 0.5 for n in range(l + 1, l + count + 1)):
+                    continue
+                spec = oracle.fd_spectrum(ds(lam), l, count)
+                checked += 1
+                if spec.node_counts() != list(range(count)):
+                    wrong.append((lam, l, spec.node_counts()))
+        assert checked > 500
         assert wrong == []
