@@ -27,7 +27,6 @@ from .model import (
 )
 from .spectra import (
     EnergyLevel,
-    ScaledParameters,
     energy,
     lambda_critical,
     lambda_inversion,
@@ -48,7 +47,6 @@ __all__ = [
     "s_of_r",
     "uncertainty_floor",
     "EnergyLevel",
-    "ScaledParameters",
     "energy",
     "lambda_critical",
     "lambda_inversion",

@@ -26,7 +26,7 @@ Polynomial coefficients are stored ascending, as tuples of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import (
@@ -135,35 +135,29 @@ class NUReduction:
     tau: tuple
     level_lambda: float  # Lambda = k + pi'
     sigma: tuple
-    root_poly: tuple = field(default=())  # linear sqrt of the under-root quadratic
+    root_poly: tuple  # (p0, p1), the linear sqrt of the under-root quadratic
 
 
 def _poly_sqrt(q, terms):
-    """Exact linear square root of a quadratic with vanishing discriminant.
+    """Linear square root (p0, p1), p1 > 0, of a quadratic with vanishing discriminant.
 
     ``terms`` holds, per coefficient of q, the summed magnitudes of the terms
-    that formed it.  Returns coefficients (p0, p1) with nonnegative leading
-    coefficient such that (p0 + p1 s)^2 = q.  Raises NotAPerfectSquareError
-    otherwise.
+    that formed it.  On the regular branch of a degree-n solution, h_1/sigma_2
+    = (1 - b)/2 and rho_- = -(b + sqrt(D))/2 (``_regular_branch``) give
+    q2 = (pi_1 - h_1)^2 = sigma_2^2 (n + (1 + sqrt(D))/2)^2 >= sigma_2^2/4, so
+    only underflow makes q2 negligible.  Raises NotAPerfectSquareError then,
+    and when the discriminant is not negligible.
     """
     q0, q1, q2 = (_coef(q, i) for i in range(3))
-    m0, m1, m2 = (_coef(terms, i) for i in range(3))
-    if not _negligible(q2, m2):
-        if q2 < 0.0:
-            raise NotAPerfectSquareError("under-root quadratic opens downward")
-        resid = q1 * q1 - 4.0 * q2 * q0
-        if not _negligible(resid, q1 * q1, 4.0 * q2 * q0):
-            raise NotAPerfectSquareError(
-                f"under-root discriminant residual {resid:.3e} is not negligible"
-            )
-        p1 = math.sqrt(q2)
-        return (q1 / (2.0 * p1), p1)
-    # degenerate: quadratic part vanished
-    if not _negligible(q1, m1):
-        raise NotAPerfectSquareError("linear under-root expression is not a square")
-    if q0 < 0.0 and not _negligible(q0, m0):
-        raise NotAPerfectSquareError("constant under-root expression is negative")
-    return (math.sqrt(max(q0, 0.0)),)
+    if _negligible(q2, _coef(terms, 2)):
+        raise NotAPerfectSquareError("under-root quadratic has no s^2 term")
+    resid = q1 * q1 - 4.0 * q2 * q0
+    if not _negligible(resid, q1 * q1, 4.0 * q2 * q0):
+        raise NotAPerfectSquareError(
+            f"under-root discriminant residual {resid:.3e} is not negligible"
+        )
+    p1 = math.sqrt(q2)
+    return (q1 / (2.0 * p1), p1)
 
 
 def _regular_branch(ode: HypergeometricODE, n: int):
@@ -179,7 +173,7 @@ def _regular_branch(ode: HypergeometricODE, n: int):
     if n < 0:
         raise ValidationError("level index must be nonnegative")
     s2 = _coef(ode.sigma, 2)
-    if s2 == 0.0:
+    if s2 * s2 == 0.0:  # c below divides by sigma_2^2, which may underflow
         raise ValidationError("the regularity rule needs a quadratic sigma")
     b = _coef(ode.tau_tilde, 1) / s2 - 1.0
     c = _coef(ode.sigma_tilde, 2) / (s2 * s2)

@@ -154,11 +154,13 @@ def _mesh_order(model, l, count):
     min(1, 1.25 sqrt(lam) n_top^2) on the t-mesh, min(4, 2.5 sqrt(lam)
     n_top^2) on the theta-mesh (uncapped, it miscounts ground-state nodes
     above lam = 0.1; capped at 2, (4,3) at 3e-3).  Blocks up to n = 4 take
-    order 40, which resolves each bound level's shift E - E_Bohr, except the
-    mapped t-mesh (60; 40 breaks ground-state node counts) and a dS block
-    with a level about to leave the spectrum (Jacobi parameter
-    1/(n sqrt(lam)) - n in (0, 1)), where 40 miscounts the nodes of levels
-    above the continuum edge.  Those and all blocks above n = 4 take 100.
+    order 40, which resolves each bound level's shift E - E_Bohr, except two
+    (measured in README "Numerical notes").  The mapped t-mesh takes 60 for
+    the shift: at 40 its error grows 6 to 21 times, with no node count or
+    verdict changed.  A dS block with a level about to leave the spectrum
+    (Jacobi parameter 1/(n sqrt(lam)) - n in (0, 1)) and all blocks above
+    n = 4 take 100: at 60 or 40 the estimates of levels above the continuum
+    edge exceed their bound, and 40 also miscounts their nodes.
     """
     top, root = l + count, math.sqrt(model.lam_au)
     if model.tau == -1:

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     from . import nu_engine as nu
 
 __all__ = [
-    "ScaledParameters",
     "EnergyLevel",
     "TransitionRatio",
     "SpectroscopicBound",
@@ -69,29 +68,6 @@ def energy_of_epsilon(model: DeformationModel, eps: float) -> float:
 def _centrifugal(l: int) -> float:
     """A = 1/4 + (l + 1/2)^2."""
     return 0.25 + (l + 0.5) ** 2
-
-
-@dataclass(frozen=True)
-class ScaledParameters:
-    """Scaled quantities of one quantized level.
-
-    The quantization condition fixes the branch root at ``delta = n`` for both
-    signs of the deformation, so ``epsilon`` is the closed form written
-    through it.  The reduction constant k of the level is
-    ``reduce_level(model, qn).k``.
-    """
-
-    eta: float
-    epsilon: float
-    delta: float
-
-    @classmethod
-    def for_level(cls, model: DeformationModel, qn: QuantumNumbers) -> "ScaledParameters":
-        return cls(
-            eta=scaled_eta(model),
-            epsilon=_epsilon_closed(model, qn.l, qn.n),
-            delta=float(qn.n),
-        )
 
 
 @dataclass(frozen=True)

@@ -43,22 +43,24 @@ class RadialEigenstate:
 
     ``log_norm_au`` makes x^(-1/2) R = sign * y(s) * exp(log_envelope -
     log_norm_au), x = r/a0, a unit-norm function under the flat measure
-    int |psi|^2 x^2 dx over ``domain`` (upper end inf for dS, the wall radius
-    for AdS; in the model's length unit).
+    int |psi|^2 x^2 dx over ``domain``.  The branch root delta = n and the
+    Coulomb strength eta follow from ``model`` and ``qn``, so they are not stored.
     """
 
     model: DeformationModel
     qn: QuantumNumbers
-    level: spectra.EnergyLevel
-    params: spectra.ScaledParameters
     poly_coeffs: tuple
-    domain: tuple
     log_norm_au: float
     sign: float
 
     @property
     def energy(self) -> float:
-        return self.level.energy
+        return spectra.energy(self.model, self.qn).energy
+
+    @property
+    def domain(self) -> tuple:
+        """(0, inf) for dS, (0, wall radius) for AdS, in the model's length unit."""
+        return (0.0, math.inf if self.model.tau == 1 else self.model.wall_radius())
 
     @property
     def log_norm(self) -> float:
@@ -72,16 +74,16 @@ def _log_radial_in_s(state: RadialEigenstate, s, log_t=None, log_prefactor=0.0):
     dS callers pass log_t = log((s-1)/(s+1)) formed without cancellation
     (_ds_log_t); AdS accepts any real s.
     Both envelopes are measured from the atom's end s -> inf, so no term of
-    size eta*log(s) is formed: dS as (1/2 - delta) log(s+1) + A log t with
+    size eta*log(s) is formed: dS as (1/2 - n) log(s+1) + A log t with
     t = (s-1)/(s+1), AdS as p log(1+s^2) - q atan2(1, s).
     """
     s = np.asarray(s, dtype=float)
-    p = state.params
-    rate = _envelope_rate(state.model.tau, p)
+    n = state.qn.n
+    rate = _envelope_rate(state.model, n)
     if state.model.tau == 1:
-        env = (0.5 - p.delta) * np.log(s + 1.0) + rate * log_t
+        env = (0.5 - n) * np.log(s + 1.0) + rate * log_t
     else:
-        env = 0.5 * (0.5 - p.delta) * np.log1p(s * s) - rate * np.arctan2(1.0, s)
+        env = 0.5 * (0.5 - n) * np.log1p(s * s) - rate * np.arctan2(1.0, s)
     y = npoly.polyval(s, np.asarray(state.poly_coeffs))
     with np.errstate(divide="ignore"):
         logy = np.where(y == 0.0, -np.inf, np.log(np.abs(np.where(y == 0.0, 1.0, y))))
@@ -95,11 +97,12 @@ def _ds_log_t(s, log_t):
     return np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), log_t)
 
 
-def _envelope_rate(tau: int, p: spectra.ScaledParameters) -> float:
-    """dS: A = (1 - 2 delta + eta/delta)/4, the exponent of t; AdS: q = eta/(2 delta)."""
-    if tau == 1:
-        return 0.25 * (1.0 - 2.0 * p.delta + p.eta / p.delta)
-    return p.eta / (2.0 * p.delta)
+def _envelope_rate(model: DeformationModel, n: int) -> float:
+    """dS: A = (1 - 2n + eta/n)/4, the exponent of t; AdS: q = eta/(2n) (delta = n)."""
+    eta = spectra.scaled_eta(model)
+    if model.tau == 1:
+        return 0.25 * (1.0 - 2.0 * n + eta / n)
+    return eta / (2.0 * n)
 
 
 def tail_exponent(model: DeformationModel, qn: QuantumNumbers) -> float:
@@ -119,9 +122,6 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
     int |psi|^2 r^2 dr over the radial domain (kept in this one routine so
     the measure convention can be swapped centrally).
     """
-    level = spectra.energy(model, qn)
-    params = spectra.ScaledParameters.for_level(model, qn)
-
     reduction = spectra.reduce_level(model, qn)
     delta_engine = abs(reduction.root_poly[1])
     if abs(delta_engine - qn.n) > 1e-9 * qn.n:
@@ -130,47 +130,37 @@ def build_state(model: DeformationModel, qn: QuantumNumbers) -> RadialEigenstate
             f"engine {delta_engine!r}"
         )
 
-    if model.tau == 1:
-        if tail_exponent(model, qn) >= -1.5:
-            raise NonNormalizableError(
-                f"dS level (n={qn.n}, l={qn.l}) at lam={model.lam} is not square "
-                "integrable (tail exponent above the bound-state threshold)"
-            )
-        domain = (0.0, math.inf)
-    else:
-        domain = (0.0, model.wall_radius())
+    if model.tau == 1 and tail_exponent(model, qn) >= -1.5:
+        raise NonNormalizableError(
+            f"dS level (n={qn.n}, l={qn.l}) at lam={model.lam} is not square "
+            "integrable (tail exponent above the bound-state threshold)"
+        )
 
     coeffs = poly_coefficients(reduction.sigma, reduction.tau, qn.n_r)
-
-    log_norm_au, sign = _normalize(model, qn, params, coeffs)
-    return RadialEigenstate(
-        model=model, qn=qn, level=level, params=params, poly_coeffs=coeffs,
-        domain=domain, log_norm_au=log_norm_au, sign=sign,
-    )
+    log_norm_au, sign = _normalize(model, qn, coeffs)
+    return RadialEigenstate(model, qn, coeffs, log_norm_au, sign)
 
 
-def _normalize(
-    model: DeformationModel, qn: QuantumNumbers, params: spectra.ScaledParameters, poly_coeffs
-):
+def _normalize(model: DeformationModel, qn: QuantumNumbers, poly_coeffs):
     """Flat-measure normalization by an exact Gauss rule; returns (log_norm_au, sign).
 
     N = int R^2 x dx (lam = lam_au) is a known weight times a polynomial in
-    the atom's own variable.  dS, u = 2/(s+1): N = 2^-(2+2 delta)/lam int
+    the atom's own variable.  dS, u = 2/(s+1): N = 2^-(2+2n)/lam int
     u^(2l+2) (1-u)^(2A-2) (2-u) Q^2 du with Q = u^n_r y(2/u - 1), exact under
     n_r + 1 Gauss-Jacobi nodes.  AdS, phi = atan(1/s): N = 1/lam int
     e^(-2 q phi) cos(phi) sin(phi)^(2l+2) Z^2 dphi with Z = sin(phi)^n_r
     y(cot phi), by 64-point Gauss-Legendre up to where e^(-2 q phi) has decayed.
     """
     coeffs = np.asarray(poly_coeffs)
-    rate = _envelope_rate(model.tau, params)
+    rate = _envelope_rate(model, qn.n)
     with np.errstate(all="ignore"):  # a non-finite sum is reported below
         if model.tau == 1:
             alpha, beta = 2.0 * rate - 2.0, 2.0 * qn.l + 2.0
             u, w = integrate.gauss_jacobi_u(qn.n_r + 1, alpha, beta)
             q = u**qn.n_r * npoly.polyval(2.0 / u - 1.0, coeffs)
             total = float(np.dot(w, (2.0 - u) * q * q))
-            # log of 2^-(2+2 delta) times the weight's mass B(beta+1, alpha+1)
-            shift = -(2.0 + 2.0 * params.delta) * math.log(2.0) + math.lgamma(beta + 1.0)
+            # log of 2^-(2+2n) times the weight's mass B(beta+1, alpha+1)
+            shift = -(2.0 + 2.0 * qn.n) * math.log(2.0) + math.lgamma(beta + 1.0)
             shift -= sum(math.log(alpha + j) for j in range(1, 2 * qn.l + 4))
             y_end = npoly.polyval(1.0, coeffs)
         else:
@@ -296,7 +286,7 @@ def _gauss_pair(a: RadialEigenstate, b: RadialEigenstate, measure: str) -> float
     for "extended") or where e^(-(q_a + q_b) phi) has decayed.
     """
     tau, lam = a.model.tau, a.model.lam_au
-    rates = _envelope_rate(tau, a.params) + _envelope_rate(tau, b.params)
+    rates = _envelope_rate(a.model, a.qn.n) + _envelope_rate(b.model, b.qn.n)
     if tau == 1:
         alpha, beta = rates - (2.0 if measure == "flat" else 1.5), a.qn.l + b.qn.l + 2
         u, w = integrate.gauss_jacobi_u((a.qn.n_r + b.qn.n_r + 3) // 2 + 1, alpha, beta)

@@ -18,6 +18,12 @@ from euph import integrate
 from euph.errors import ValidationError
 from euph.wavefunctions import RadialEigenstate, _ds_log_t, _envelope_rate, _log_radial_in_s
 
+# The states have unit norm, so quad's goal RTOL * GOAL_FLOOR = 1e-15 is an
+# absolute goal far below the tests' 1e-12.  Without the floor, a cross pair
+# whose core cancels to 0 gets a goal relative to a dS tail near the double
+# range's floor (about 1e-305), which underflows and exhausts the panel cap.
+GOAL_FLOOR = 1e-3
+
 
 def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure="flat"):
     """Inner product of two radial states in a chosen measure.
@@ -38,10 +44,12 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     from the remainder log t0 = log t - (2/gamma) log w = log e0 - 2 log(s+1)
     (e0 = e at the edge; log1p less (2/gamma) log w where s > 3), tends to a
     constant as w -> 0; the AdS stretch as x = R (1 - v^2), smooth through
-    the wall; for "extended", the continuation s < 0 as s = 1 - 1/w.  Pieces beyond the edge take their
-    error goal from the core's size.  The dS tail breaks at w = 2^(-k gamma),
-    the images of x = edge 2^k: near the bound-state threshold gamma -> 0 and
-    the core-to-tail transition lies in w in [1 - O(gamma), 1].
+    the wall; for "extended", the continuation s < 0 as s = 1 - 1/w.  Pieces
+    beyond the edge take their error goal from the core's size, and every
+    goal is floored at RTOL * GOAL_FLOOR.  The dS tail breaks at
+    w = 2^(-k gamma), the images of x = edge 2^k: near the bound-state
+    threshold gamma -> 0 and the core-to-tail transition lies in w in
+    [1 - O(gamma), 1].
     """
     if state_a.model != state_b.model:
         raise ValidationError("states must share one deformation model")
@@ -73,9 +81,10 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
     n2 = max(state_a.qn.n, state_b.qn.n) ** 2
     edge = min(60.0 * n2, 0.5 * wall)
     points = [0.0] + [f * n2 for f in (0.1, 1.0, 4.0, 16.0) if f * n2 < edge] + [edge]
-    val = integrate.quad(lambda x: at_radius(np.log(x), 0.0), points)[0]
+    val = integrate.quad(lambda x: at_radius(np.log(x), 0.0), points, scale=GOAL_FLOOR)[0]
+    scale = max(abs(val), GOAL_FLOOR)
     if model.tau == 1:
-        rates = _envelope_rate(1, state_a.params) + _envelope_rate(1, state_b.params)
+        rates = _envelope_rate(model, state_a.qn.n) + _envelope_rate(model, state_b.qn.n)
         gamma = 2.0 * rates - (2.0 if measure == "flat" else 1.0)
         log_edge = math.log(edge)
         log_e0 = -math.log(lam) - 2.0 * log_edge  # log e at the edge
@@ -98,18 +107,18 @@ def radial_overlap(state_a: RadialEigenstate, state_b: RadialEigenstate, measure
         # a subnormal cut would put quadrature nodes at w = 0
         cuts = {2.0 ** (-k * gamma) for k in (1, 2, 3, 4, 6, 10, 20, 40)}
         cuts = sorted({0.0, 1.0} | {w for w in cuts if w >= np.finfo(float).tiny})
-        return val + integrate.quad(tail, cuts, scale=abs(val))[0]
+        return val + integrate.quad(tail, cuts, scale=scale)[0]
 
     def stretch(v):
         u, chi = 1.0 - v * v, v * np.sqrt(2.0 - v * v)
         return in_r(chi / u, None, np.log(wall * u), np.log(2.0 * wall * v), np.log(chi))
 
-    val += integrate.quad(stretch, [0.0, math.sqrt(1.0 - edge / wall)], scale=abs(val))[0]
+    val += integrate.quad(stretch, [0.0, math.sqrt(1.0 - edge / wall)], scale=scale)[0]
     if measure == "extended":
 
         def beyond(w):  # R_a R_b r dr / chi = R_a R_b (1+s^2)^(-3/2) ds / lam
             s = 1.0 - 1.0 / w
             return pair(s, None, -1.5 * np.log1p(s * s) - 2.0 * np.log(w) - math.log(lam))
 
-        val += integrate.quad(beyond, [0.0, 1.0], scale=abs(val))[0]
+        val += integrate.quad(beyond, [0.0, 1.0], scale=scale)[0]
     return val

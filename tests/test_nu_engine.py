@@ -169,6 +169,15 @@ class TestReduce:
         with pytest.raises(NoBoundBranchError):
             nu.reduce(ode, 0)
 
+    @pytest.mark.parametrize("sigma_tilde", [(1.0, 1.0), (0.0,), (-1.0, 0.0)])
+    def test_underflowed_square_term_is_no_square(self, sigma_tilde):
+        # _poly_sqrt's one guard: q2 = (pi_1 - h_1)^2 = sigma_2^2/4 underflows
+        # to 0 while sigma_2^2 does not, so no linear root exists in floats
+        s2 = 3e-162
+        ode = nu.HypergeometricODE(sigma=(1.0, 0.0, s2), tau_tilde=(0.0, s2), sigma_tilde=sigma_tilde)
+        with pytest.raises(NotAPerfectSquareError, match=r"no s\^2 term"):
+            nu.reduce(ode, 0)
+
     def test_k_is_one_of_the_candidates(self):
         model = DeformationModel(tau=-1, lam=0.05)
         red = spectra.reduce_level(model, QuantumNumbers(3, 1))
@@ -308,12 +317,14 @@ class TestPhysicalRange:
             # itself crosses zero
             scale = abs(level.bohr_term) + abs(level.correction)
             assert abs(spectra.energy_via_nu(model, qn) - level.energy) <= 1e-12 * scale
-            assert wf.build_state(model, qn).params.delta == n
-            # the regular branch's k is a root of the textbook k-quadratic
-            k = spectra.reduce_level(model, qn).k
+            wf.build_state(model, qn)
+            # the engine's root is the branch root delta = n, and the regular
+            # branch's k is a root of the textbook k-quadratic
+            red = spectra.reduce_level(model, qn)
+            assert red.root_poly[1] == n
             eps = spectra._epsilon_closed(model, l, n)
             ks = ref.k_candidates(spectra.hydrogen_ode(model, l, eps))
-            assert min(abs(k - kc) for kc in ks) <= 1e-12 * abs(k)
+            assert min(abs(red.k - kc) for kc in ks) <= 1e-12 * abs(red.k)
 
 
 class TestRodrigues:

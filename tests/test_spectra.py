@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euph import spectra
+from euph import wavefunctions as wf
 from euph.errors import (
     UndefinedCriticalError,
     UndefinedInversionError,
@@ -210,19 +211,21 @@ class TestInvariants:
 
 
 class TestScaledParameters:
+    # a level's scaled quantities follow from its model and quantum numbers:
+    # eta = scaled_eta(model), eps = _epsilon_closed(model, l, n) and the
+    # branch root delta = n, which the engine's root of the level reproduces
     @pytest.mark.parametrize("tau", [1, -1])
     @pytest.mark.parametrize("lam", [0.001, 0.01, 0.05])
     def test_delta_equals_principal_number(self, tau, lam):
         for n in range(1, 5):
             for l in range(n):
-                sp = spectra.ScaledParameters.for_level(
-                    DeformationModel(tau, lam), QuantumNumbers(n, l)
-                )
-                assert sp.delta == n
+                red = spectra.reduce_level(DeformationModel(tau, lam), QuantumNumbers(n, l))
+                assert red.root_poly[1] == n
 
     def test_fields(self):
-        names = [f.name for f in dataclasses.fields(spectra.ScaledParameters)]
-        assert names == ["eta", "epsilon", "delta"]
+        # a state stores none of them
+        names = [f.name for f in dataclasses.fields(wf.RadialEigenstate)]
+        assert names == ["model", "qn", "poly_coeffs", "log_norm_au", "sign"]
 
     # The dS k roots exchange the physical delta at lam = 1/n^4 (Hartree);
     # the examples sit a relative 1e-15 on either side of that point.  At
@@ -245,24 +248,22 @@ class TestScaledParameters:
         model = DeformationModel(tau, lam / units.bohr_radius**2, units=units)
         for l in range(n):
             qn = QuantumNumbers(n, l)
-            sp = spectra.ScaledParameters.for_level(model, qn)
-            assert sp.delta == n
+            assert spectra.reduce_level(model, qn).root_poly[1] == n
+            eps, eta = spectra._epsilon_closed(model, l, n), spectra.scaled_eta(model)
             expected = spectra.epsilon_of_energy(model, spectra.energy(model, qn).energy)
             # eps is a difference of terms of size n^2 and eta^2/(4 n^2) and
             # crosses zero for AdS, so the bound is relative to the larger term.
-            scale = max(abs(sp.epsilon), n * n, sp.eta**2 / (4.0 * n * n))
-            assert abs(sp.epsilon - expected) <= 1e-12 * scale
+            scale = max(abs(eps), n * n, eta**2 / (4.0 * n * n))
+            assert abs(eps - expected) <= 1e-12 * scale
 
     def test_frozen_example_values(self):
         # AdS lam=0.01, level (2,0): eps = -21.5, k = 3.5, eta = 20
-        sp = spectra.ScaledParameters.for_level(ads(0.01), QuantumNumbers(2, 0))
-        assert sp.eta == pytest.approx(20.0, rel=1e-14)
-        assert sp.epsilon == pytest.approx(-21.5, rel=1e-14)
+        assert spectra.scaled_eta(ads(0.01)) == pytest.approx(20.0, rel=1e-14)
+        assert spectra._epsilon_closed(ads(0.01), 0, 2) == pytest.approx(-21.5, rel=1e-14)
         red = spectra.reduce_level(ads(0.01), QuantumNumbers(2, 0))
         assert red.k == pytest.approx(3.5, rel=1e-12)
         # dS lam=0.1, ground: eps = -10.5
-        sp = spectra.ScaledParameters.for_level(ds(0.1), QuantumNumbers(1, 0))
-        assert sp.epsilon == pytest.approx(-10.5, rel=1e-14)
+        assert spectra._epsilon_closed(ds(0.1), 0, 1) == pytest.approx(-10.5, rel=1e-14)
 
 
 class TestReductionConsistency:

@@ -132,10 +132,10 @@ def _mpmath_norm_offset(state):
     R^2 r ~ r^(-gamma-1) becomes bounded, however slowly it decays in r.
     """
     mp.mp.dps = 30
-    model, qn, p = state.model, state.qn, state.params
+    model, qn = state.model, state.qn
     lam = mp.mpf(model.lam)
     sl = mp.sqrt(lam)
-    d, eta = mp.mpf(p.delta), mp.mpf(p.eta)
+    d, eta = mp.mpf(qn.n), mp.mpf(spectra.scaled_eta(model))
     coeffs = [mp.mpf(c) for c in reversed(state.poly_coeffs)]
     scale = mp.exp(-2 * mp.mpf(state.log_norm))
     if model.tau == 1:
@@ -504,6 +504,9 @@ class TestExactOverlap:
                          st.floats(0.0, 1.0, exclude_max=True)),
         same=st.booleans(),
     )
+    # an orthogonal cross pair whose core cancels to 0 over a dS tail near the
+    # double range's floor (lam about 4e-22): the reference's goal floor
+    @example(tau=1, unit=0.71195, measure="flat", n=(2, 4), l_frac=(0.5, 0.25), same=False)
     def test_matches_the_adaptive_reference(self, tau, unit, measure, n, l_frac, same):
         # dS lam log-uniform in [1e-73, 0.3], AdS in [1e-16, 0.3]
         lo = -73.0 if tau == 1 else -16.0
@@ -587,15 +590,16 @@ class TestSphericalHarmonics:
 
 class TestCrossChecks:
     def test_delta_cross_check_runs(self):
-        # build_state verifies the closed-form branch root against the engine
-        state = wf.build_state(ds(0.005), QuantumNumbers(3, 1))
-        assert state.params.delta == pytest.approx(3.0, rel=1e-11)
+        # build_state verifies the branch root delta = n against the engine's
+        wf.build_state(ds(0.005), QuantumNumbers(3, 1))
+        red = spectra.reduce_level(ds(0.005), QuantumNumbers(3, 1))
+        assert red.root_poly[1] == pytest.approx(3.0, rel=1e-11)
 
     def test_small_lambda_level_passes_the_cross_check(self):
         # at this lam, delta rebuilt from the energy through the cancelling
         # k-discriminant misses n by 4e-6, far past the 1e-9 cross-check
         state = wf.build_state(ds(5.216935833485621e-13), QuantumNumbers(2, 0))
-        assert state.params.delta == 2.0
+        assert spectra.reduce_level(state.model, state.qn).root_poly[1] == 2.0
         assert wf.count_nodes(state) == 1
         assert wf.radial_overlap(state, state, "flat") == pytest.approx(1.0, abs=1e-8)
 
